@@ -10,7 +10,8 @@ errors to stderr.
 Exit codes: 0 success; 1 validation or estimation rejected (failed
 conditions, empty or infeasible reduction, invalid true_probs/policy);
 2 unparseable or malformed input; 3 no closed form under
---method closed; 4 solver nonconvergence; 5 dominance or self-check
+--method closed; 4 the solver could not produce a feasible estimate
+(nonconvergence, an infeasible assignment); 5 dominance or self-check
 disagreement.  GREECHIE_MLE_LOG=<level> turns on stderr logging.
 """
 
@@ -30,20 +31,20 @@ from .closed_form import estimate
 from .decompose import build_plan, plan_summary, plan_verdict
 from .diagram import (
     GreechieDiagram,
+    _check_g2_both,
     build_diagram,
     check_g1,
-    check_g2,
     log_likelihood,
     reduce_zero_counts,
 )
 from .errors import (
     DiagramError,
     EmptyAfterReduction,
+    EstimationError,
     GreechieError,
     InfeasibleReduction,
     IntersectionTooLarge,
     NoClosedForm,
-    NonConvergence,
 )
 from .numeric import SolverConfig
 from .oracle import OracleBudget, brute_force_mle
@@ -53,7 +54,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_PARSE = 2
 EXIT_NO_CLOSED_FORM = 3
-EXIT_NONCONVERGENCE = 4
+EXIT_ESTIMATION = 4
 EXIT_DOMINANCE = 5
 
 _DOMINANCE_SLACK = 1e-9
@@ -159,8 +160,9 @@ def _probability_strings(p: dict) -> tuple[dict, dict]:
 def _validation_summary(diagram: GreechieDiagram) -> dict:
     summary: dict = {"g1": check_g1(diagram).passed}
     try:
-        summary["g2_omp"] = check_g2(diagram, "omp").passed
-        summary["g2_oml"] = check_g2(diagram, "oml").passed
+        g2_omp, g2_oml = _check_g2_both(diagram)
+        summary["g2_omp"] = g2_omp.passed
+        summary["g2_oml"] = g2_oml.passed
         summary["intersection"] = True
     except IntersectionTooLarge:
         summary["g2_omp"] = None
@@ -201,8 +203,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     intersection_ok = True
     g2_omp = g2_oml = None
     try:
-        g2_omp = check_g2(diagram, "omp")
-        g2_oml = check_g2(diagram, "oml")
+        g2_omp, g2_oml = _check_g2_both(diagram)
     except IntersectionTooLarge as exc:
         intersection_ok = False
         intersection_msg = str(exc)
@@ -271,8 +272,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         result = estimate(diagram, counts, method=args.method, config=config)
     except NoClosedForm as exc:
         raise CliError(EXIT_NO_CLOSED_FORM, str(exc)) from exc
-    except NonConvergence as exc:
-        raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
+    except EstimationError as exc:
+        raise CliError(EXIT_ESTIMATION, str(exc)) from exc
     except (EmptyAfterReduction, InfeasibleReduction) as exc:
         raise CliError(EXIT_REJECTED, str(exc)) from exc
 
@@ -317,8 +318,8 @@ def _self_check(
     other_method = "numeric" if result.method != "numeric" else "auto"
     try:
         other = estimate(diagram, counts, method=other_method, config=config)
-    except NonConvergence as exc:
-        raise CliError(EXIT_NONCONVERGENCE, f"self-check solve failed: {exc}") from exc
+    except EstimationError as exc:
+        raise CliError(EXIT_ESTIMATION, f"self-check solve failed: {exc}") from exc
     worst = max(abs(float(result.p[x]) - float(other.p[x])) for x in diagram.outcomes)
     log.info("self-check: max coordinate gap %.3e", worst)
     if worst > _SELF_CHECK_TOL:
@@ -370,8 +371,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         reduction = reduce_zero_counts(diagram, counts)
         budget = OracleBudget(sample_count=args.samples, rng_seed=args.seed)
         oracle_best = brute_force_mle(reduction.diagram, reduction.freq, budget)
-    except NonConvergence as exc:
-        raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
+    except EstimationError as exc:
+        raise CliError(EXIT_ESTIMATION, str(exc)) from exc
     except (EmptyAfterReduction, InfeasibleReduction) as exc:
         raise CliError(EXIT_REJECTED, str(exc)) from exc
 

@@ -49,6 +49,7 @@ from .diagram import (
     reduce_zero_counts,
 )
 from .errors import (
+    InfeasibleEstimate,
     InfeasibleReduction,
     NoClosedForm,
     NonConvergence,
@@ -128,10 +129,12 @@ def finish_result(
     diagnostics: Optional[dict] = None,
     tol: float = 1e-10,
 ) -> MleResult:
-    """Wrap an assignment into an MleResult, enforcing its invariants."""
-    assert check_probability(diagram, p, tol=tol), (
-        f"solver produced an infeasible assignment via {method}"
-    )
+    """Wrap an assignment into an MleResult, enforcing its invariants.
+
+    Raises InfeasibleEstimate when p leaves [0, 1] or misses an
+    operation sum by more than tol."""
+    if not check_probability(diagram, p, tol=tol):
+        raise InfeasibleEstimate(method, _worst_gap(diagram, p), tol)
     return MleResult(
         p=p,
         method=method,
@@ -139,6 +142,14 @@ def finish_result(
         residual=residual,
         diagnostics=diagnostics or {},
     )
+
+
+def _worst_gap(diagram: GreechieDiagram, p: dict[OutcomeId, Number]) -> float:
+    """Largest distance of an operation sum from 1, or of a probability
+    from [0, 1]."""
+    sums = (abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations)
+    box = (max(-float(v), float(v) - 1.0, 0.0) for v in p.values())
+    return max(itertools.chain(sums, box), default=0.0)
 
 
 def _sub_freq(diagram: GreechieDiagram, freq: FrequencyTable) -> dict[OutcomeId, int]:
@@ -516,17 +527,22 @@ def _chain_jacobian(c: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- dispatcher
 
 
-def execute_plan(plan: DecompositionTree, freq: FrequencyTable) -> MleResult:
+def execute_plan(
+    plan: DecompositionTree, freq: FrequencyTable, config=None
+) -> MleResult:
     """Dispatch a decomposition tree to the matching solvers and stitch
     the pieces into one assignment over the plan's diagram.
 
     Chains that fail to converge fall back to the general numeric
-    solver.  Errors raised by a nested solver gain a ``node_path``
-    attribute locating the failing node in the tree."""
-    return _execute(plan, freq, path="root")
+    solver.  ``config`` (a SolverConfig, or None for its defaults) goes
+    to every numeric solve.  Errors raised by a nested solver gain a
+    ``node_path`` attribute locating the failing node in the tree."""
+    return _execute(plan, freq, "root", config)
 
 
-def _execute(plan: DecompositionTree, freq: FrequencyTable, path: str) -> MleResult:
+def _execute(
+    plan: DecompositionTree, freq: FrequencyTable, path: str, config
+) -> MleResult:
     try:
         if isinstance(plan, ClassicalLeaf):
             return solve_classical(plan.diagram, _sub_freq(plan.diagram, freq))
@@ -535,32 +551,36 @@ def _execute(plan: DecompositionTree, freq: FrequencyTable, path: str) -> MleRes
                 if sum(freq[x] for x in child.diagram.outcomes) == 0:
                     raise ZeroComponent(i)
             children = [
-                _execute(child, _sub_freq(child.diagram, freq), f"{path}/sum[{i}]")
+                _execute(
+                    child, _sub_freq(child.diagram, freq), f"{path}/sum[{i}]", config
+                )
                 for i, child in enumerate(plan.children)
             ]
             return _stitch(plan.diagram, freq, children, "horizontal")
         if isinstance(plan, Product):
-            return _execute_product(plan, freq, path)
+            return _execute_product(plan, freq, path, config)
         if isinstance(plan, Chain):
             try:
                 return solve_chain_k(plan.descriptor, freq, diagram=plan.diagram)
             except NonConvergence:
                 from .numeric import solve_numeric
 
-                result = solve_numeric(plan.diagram, freq)
+                result = solve_numeric(plan.diagram, freq, config)
                 result.diagnostics["fallback_from"] = "chain-iterative"
                 return result
         assert isinstance(plan, NumericLeaf)
         from .numeric import solve_numeric
 
-        return solve_numeric(plan.diagram, freq)
+        return solve_numeric(plan.diagram, freq, config)
     except Exception as exc:
         if not hasattr(exc, "node_path"):
             exc.node_path = path
         raise
 
 
-def _execute_product(plan: Product, freq: FrequencyTable, path: str) -> MleResult:
+def _execute_product(
+    plan: Product, freq: FrequencyTable, path: str, config
+) -> MleResult:
     totals = [sum(freq[x] for x in f.diagram.outcomes) for f in plan.factors]
     for i, t in enumerate(totals):
         if t == 0:
@@ -568,7 +588,7 @@ def _execute_product(plan: Product, freq: FrequencyTable, path: str) -> MleResul
     grand = sum(totals)
     weights = [Fraction(t, grand) for t in totals]
     children = [
-        _execute(f, _sub_freq(f.diagram, freq), f"{path}/product[{i}]")
+        _execute(f, _sub_freq(f.diagram, freq), f"{path}/product[{i}]", config)
         for i, f in enumerate(plan.factors)
     ]
     p: dict[OutcomeId, Number] = {}
@@ -599,8 +619,11 @@ def estimate(
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and
     "numeric" forces the general solver on the whole reduced diagram.
-    Reduction that empties an operation makes the remaining constraints
-    unsatisfiable as stated and raises InfeasibleReduction."""
+    ``config`` (a SolverConfig) sets the stopping rules of every numeric
+    solve on each route.  Reduction that empties an operation makes the
+    remaining constraints unsatisfiable as stated and raises
+    InfeasibleReduction; an assignment that misses the constraints
+    raises InfeasibleEstimate."""
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     check_frequencies(diagram, freq)
@@ -617,7 +640,7 @@ def estimate(
         if method == "closed" and plan_verdict(plan) == "numeric-only":
             culprit = _first_numeric_leaf(plan)
             raise NoClosedForm(culprit.diagram.outcomes)
-        inner = execute_plan(plan, reduction.freq)
+        inner = execute_plan(plan, reduction.freq, config)
 
     p: dict[OutcomeId, Number] = dict(inner.p)
     for x in reduction.zeroed:

@@ -258,8 +258,25 @@ def check_g2(diagram: GreechieDiagram, target: str = "omp") -> ValidationReport:
     target = target.lower()
     if target not in ("omp", "oml"):
         raise ValueError(f"target must be 'omp' or 'oml', got {target!r}")
-    required = 4 if target == "omp" else 5
+    return _g2_report(diagram, target, *minimum_cycle_length(diagram))
+
+
+def _check_g2_both(diagram: GreechieDiagram) -> tuple[ValidationReport, ValidationReport]:
+    """check_g2 for "omp" and for "oml" from a single cycle search."""
     length, witness = minimum_cycle_length(diagram)
+    return (
+        _g2_report(diagram, "omp", length, witness),
+        _g2_report(diagram, "oml", length, witness),
+    )
+
+
+def _g2_report(
+    diagram: GreechieDiagram,
+    target: str,
+    length: Optional[int],
+    witness: Optional[tuple],
+) -> ValidationReport:
+    required = 4 if target == "omp" else 5
     if length is None or length >= required:
         return ValidationReport(passed=True)
     assert witness is not None
@@ -294,8 +311,8 @@ def validate_diagram(diagram: GreechieDiagram) -> ValidationReport:
             )
     violations.extend(check_g1(diagram).violations)
     try:
-        for target in ("omp", "oml"):
-            violations.extend(check_g2(diagram, target).violations)
+        for report in _check_g2_both(diagram):
+            violations.extend(report.violations)
     except IntersectionTooLarge as exc:
         violations.append(
             Violation("INTERSECTION", (exc.edge_a, exc.edge_b), str(exc))

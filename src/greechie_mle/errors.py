@@ -124,6 +124,22 @@ class NonConvergence(EstimationError):
         )
 
 
+class InfeasibleEstimate(EstimationError):
+    """A solver route returned an assignment outside the feasible set.
+
+    ``gap`` is the worst constraint gap: the largest distance of an
+    operation sum from 1 or of a probability from [0, 1]."""
+
+    def __init__(self, route: str, gap: float, tol: float):
+        self.route = route
+        self.gap = gap
+        self.tol = tol
+        super().__init__(
+            f"solver produced an infeasible assignment via {route}: "
+            f"worst constraint gap {gap:.3e} exceeds tolerance {tol:.1e}"
+        )
+
+
 class NoClosedForm(EstimationError):
     """Raised when a closed-form solution was demanded but the plan
     contains a numeric leaf."""

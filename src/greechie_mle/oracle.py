@@ -9,8 +9,9 @@ least the oracle's likelihood.
 The walk needs directions that keep every operation sum unchanged, i.e.
 the null space of the incidence matrix.  The basis is computed once by
 Gaussian elimination in exact rational arithmetic (the matrix is a
-small 0/1 matrix, so exactness is cheap) and the walk re-projects onto
-the constraint set every few thousand steps to cancel float drift.
+small 0/1 matrix, so exactness is cheap).  The walk runs many chains
+in lockstep, one numpy step for all of them, and re-projects onto the
+constraint set every few thousand points to cancel float drift.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .diagram import FrequencyTable, GreechieDiagram, ProbabilityAssignment
 from .errors import DegeneratePolytope, NonConvergence
 
-_CHUNK = 4096  # walk steps between re-projections
+_CHUNK = 4096  # walk points between re-projections
+_WALKERS = 64  # hit-and-run chains advanced together, one numpy step each
 
 
 @dataclass(frozen=True)
@@ -103,47 +105,60 @@ def interior_point(diagram: GreechieDiagram) -> Optional[dict[str, float]]:
 
 def _walk_chunks(
     diagram: GreechieDiagram,
+    basis: np.ndarray,
     start: ProbabilityAssignment,
     budget: OracleBudget,
 ) -> Iterator[np.ndarray]:
-    """Hit-and-run chunks: (b, n) arrays of consecutive walk points.
+    """Hit-and-run chunks: (b, n) arrays of walk points.
 
-    Each step draws a gaussian direction inside the null space, finds
-    the feasible segment imposed by nonnegativity, and jumps to a
-    uniform point on it.  Raises DegeneratePolytope when the null space
-    is trivial: the start is then the only feasible point."""
+    _WALKERS independent chains start at ``start`` and advance in
+    lockstep.  Each step draws one gaussian direction per walker inside
+    the null space (rows of ``basis``), finds each walker's feasible
+    segment imposed by nonnegativity, and jumps every walker to a
+    uniform point on its segment.  The stream is step-major: the rows of
+    one step, one per walker, then the next step's.  It is deterministic
+    for a given seed, holds exactly budget.sample_count points (the last
+    step is cut short when needed), and re-projects every walker onto
+    the operation sums after each chunk to cancel float drift.  Raises
+    DegeneratePolytope when the null space is trivial: the start is then
+    the only feasible point."""
     outcomes = diagram.outcomes
-    basis = nullspace_basis(diagram)
     if basis.shape[0] == 0:
         raise DegeneratePolytope({x: start[x] for x in outcomes})
     inc = incidence_matrix(diagram)
     pinv = np.linalg.pinv(inc)
     rng = np.random.Generator(np.random.Philox(budget.rng_seed))
-    p = np.array([float(start[x]) for x in outcomes])
+    walkers = np.tile([float(start[x]) for x in outcomes], (_WALKERS, 1))
     k, n = basis.shape
     remaining = budget.sample_count
     while remaining > 0:
         b = min(_CHUNK, remaining)
+        steps = -(-b // _WALKERS)
         # Directions need not be normalized: the jump is uniform on the
         # feasible segment, which is invariant under direction scale.
-        directions = rng.standard_normal((b, k)) @ basis
-        jumps = rng.random(b)
-        out = np.empty((b, n))
+        directions = rng.standard_normal((steps, _WALKERS, k)) @ basis
+        jumps = rng.random((steps, _WALKERS))
+        out = np.empty((steps * _WALKERS, n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(b):
-                d = directions[i]
-                ratios = -p / d
+            for s in range(steps):
+                d = directions[s]
+                ratios = -walkers / d
                 pos = d > 1e-14
                 neg = d < -1e-14
-                lo = float(ratios[pos].max()) if pos.any() else 0.0
-                hi = float(ratios[neg].min()) if neg.any() else 0.0
-                p = p + (lo + jumps[i] * (hi - lo)) * d
-                np.clip(p, 0.0, 1.0, out=p)
-                out[i] = p
-        yield out
+                # A walker with no positive (negative) direction component
+                # gets 0 as its lower (upper) segment end; the masked
+                # ratios are finite, so only such a walker reads +-inf.
+                lo = np.where(pos, ratios, -np.inf).max(axis=1)
+                hi = np.where(neg, ratios, np.inf).min(axis=1)
+                lo[lo == -np.inf] = 0.0
+                hi[hi == np.inf] = 0.0
+                walkers += (lo + jumps[s] * (hi - lo))[:, None] * d
+                np.clip(walkers, 0.0, 1.0, out=walkers)
+                out[s * _WALKERS : (s + 1) * _WALKERS] = walkers
+        yield out[:b]
         # Cancel accumulated drift before the next chunk.
-        p = p - pinv @ (inc @ p - 1.0)
-        np.clip(p, 0.0, 1.0, out=p)
+        walkers -= (walkers @ inc.T - 1.0) @ pinv.T
+        np.clip(walkers, 0.0, 1.0, out=walkers)
         remaining -= b
 
 
@@ -154,10 +169,12 @@ def sample_feasible(
 ) -> Iterator[dict[str, float]]:
     """Stream of budget.sample_count feasible assignments.
 
-    Deterministic for a given seed.  Not uniform on the polytope; the
-    coverage only needs to be broad enough for dominance checking."""
+    Deterministic for a given seed: the step-major interleaving of
+    several hit-and-run chains run in lockstep from ``start``.  Not
+    uniform on the polytope; the coverage only needs to be broad enough
+    for dominance checking."""
     outcomes = diagram.outcomes
-    for chunk in _walk_chunks(diagram, start, budget):
+    for chunk in _walk_chunks(diagram, nullspace_basis(diagram), start, budget):
         for row in chunk:
             yield {x: float(v) for x, v in zip(outcomes, row)}
 
@@ -187,8 +204,9 @@ def brute_force_mle(
 
     best = np.array([float(start[x]) for x in outcomes])
     best_ll = loglik(best)
+    basis = nullspace_basis(diagram)
     try:
-        for chunk in _walk_chunks(diagram, start, budget):
+        for chunk in _walk_chunks(diagram, basis, start, budget):
             with np.errstate(divide="ignore"):
                 lls = np.log(chunk) @ counts
             i = int(np.argmax(lls))
@@ -198,7 +216,6 @@ def brute_force_mle(
     except DegeneratePolytope as unique:
         return {x: float(unique.point[x]) for x in outcomes}
 
-    basis = nullspace_basis(diagram)
     norms = np.linalg.norm(basis, axis=1)
     basis = basis / norms[:, None]
     step = 0.25

@@ -21,3 +21,17 @@ def random_counts(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(20240817))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

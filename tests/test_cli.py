@@ -2,17 +2,17 @@
 
 Commands run in-process through main(argv); stdout is parsed from
 capsys.  Exit codes under test: 0 success, 1 rejected, 2 malformed
-input, 3 no closed form, 4 nonconvergence, 5 dominance or self-check
-failure.
+input, 3 no closed form, 4 no feasible estimate (nonconvergence, an
+infeasible assignment), 5 dominance or self-check failure.
 """
 
 import json
 
 import pytest
 
-from greechie_mle import NonConvergence, cli
+from greechie_mle import InfeasibleEstimate, NonConvergence, cli, diagram
 from greechie_mle.cli import main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, count_calls
 
 
 def run(capsys, *argv):
@@ -174,6 +174,23 @@ class TestEstimate:
         assert code == 4
         assert "no convergence" in err
 
+    def test_infeasible_estimate_exit(self, capsys, monkeypatch):
+        def fake(*args, **kwargs):
+            raise InfeasibleEstimate("chain-closed", 1.7e-10, 1e-10)
+
+        monkeypatch.setattr(cli, "estimate", fake)
+        code, _, err = run(capsys, "estimate", FIXTURES / "tennis.json")
+        assert code == 4
+        assert "infeasible assignment via chain-closed" in err
+
+    def test_one_cycle_search(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, diagram, "minimum_cycle_length")
+        code, doc, _ = run_json(capsys, "estimate", FIXTURES / "four_cycle_unit.json")
+        assert code == 0
+        assert doc["validation"]["g2_omp"] is True
+        assert doc["validation"]["g2_oml"] is False
+        assert len(calls) == 1
+
 
 class TestSample:
     def test_frozen_counts(self, capsys):
@@ -243,6 +260,15 @@ class TestOracleCheck:
         )
         assert code == 5
         assert "FAIL" in out
+
+    def test_estimation_error_exit(self, capsys, monkeypatch):
+        def fake(*args, **kwargs):
+            raise InfeasibleEstimate("numeric", 2e-9, 1e-9)
+
+        monkeypatch.setattr(cli, "estimate", fake)
+        code, _, err = run(capsys, "oracle-check", FIXTURES / "path3_unit.json")
+        assert code == 4
+        assert "infeasible assignment" in err
 
 
 class TestEntrypoint:

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 
 from greechie_mle import (
     BlockStats,
+    EstimationError,
+    InfeasibleEstimate,
     NoClosedForm,
     NonConvergence,
     InfeasibleReduction,
     SplittingParameters,
     ZeroComponent,
     ZeroFactor,
+    SolverConfig,
     ZeroTotal,
     build_diagram,
     build_plan,
@@ -28,6 +31,7 @@ from greechie_mle import (
     elimination_c1,
     estimate,
     execute_plan,
+    finish_result,
     shapes,
     solve_chain2,
     solve_chain_k,
@@ -330,6 +334,20 @@ class TestEstimate:
         worst = max(abs(float(exact.p[x]) - numeric.p[x]) for x in exact.p)
         assert worst < 1e-9
 
+    def test_config_reaches_auto_route(self):
+        # Skewed counts on which the numeric solver needs ~36 000 sweeps:
+        # every route must stop at the configured cap.
+        d = shapes.four_cycle()
+        freq = {
+            "k1": 102568457, "m1": 678, "k2": 599, "m2": 8,
+            "k3": 89, "m3": 1, "k4": 8, "m4": 5899,
+        }
+        config = SolverConfig(max_sweeps=1000)
+        for method in ("numeric", "auto"):
+            with pytest.raises(NonConvergence) as info:
+                estimate(d, freq, method=method, config=config)
+            assert info.value.iterations == 1000, method
+
     def test_diagnostics_summarize_plan(self):
         d = shapes.path3()
         r = estimate(d, {x: 1 for x in d.outcomes})
@@ -345,6 +363,25 @@ class TestEstimate:
         freq = dict(zip(d.outcomes, values))
         scaled = {x: k * v for x, v in freq.items()}
         assert estimate(d, freq).p == estimate(d, scaled).p
+
+
+class TestFinishResult:
+    def test_infeasible_assignment_is_a_typed_error(self):
+        d = shapes.tennis()
+        freq = {"a": 10, "c": 30, "e": 40, "b": 20, "d": 40}
+        p = {"a": 0.2, "c": 0.5, "e": 0.2, "b": 0.3, "d": 0.5}  # a + c + e = 0.9
+        with pytest.raises(InfeasibleEstimate) as info:
+            finish_result(d, freq, p, "product", 0.0)
+        assert isinstance(info.value, EstimationError)
+        assert info.value.route == "product"
+        assert info.value.gap == pytest.approx(0.1)
+        assert "via product" in str(info.value)
+
+    def test_out_of_range_probability_rejected(self):
+        d = build_diagram(["a", "b"], [["a", "b"]])
+        with pytest.raises(InfeasibleEstimate) as info:
+            finish_result(d, {"a": 1, "b": 1}, {"a": 1.5, "b": -0.5}, "classical", 0.0)
+        assert info.value.gap == pytest.approx(0.5)
 
 
 class TestResultTypes:

@@ -23,6 +23,8 @@ from greechie_mle import (
     shapes,
     validate_diagram,
 )
+from greechie_mle import diagram
+from tests.conftest import count_calls
 
 
 class TestBuildDiagram:
@@ -129,6 +131,18 @@ class TestValidateDiagram:
         report = validate_diagram(shapes.triangle())
         rules = {v.rule for v in report.violations}
         assert rules == {"G2-OMP", "G2-OML"}
+
+    def test_one_cycle_search_for_both_targets(self, monkeypatch):
+        calls = count_calls(monkeypatch, diagram, "minimum_cycle_length")
+        report = validate_diagram(shapes.triangle())
+        assert {v.rule for v in report.violations} == {"G2-OMP", "G2-OML"}
+        assert len(calls) == 1
+
+    def test_both_targets_match_check_g2(self):
+        for d in [shapes.triangle(), *shapes.all_shapes().values()]:
+            omp, oml = diagram._check_g2_both(d)
+            assert omp == check_g2(d, "omp")
+            assert oml == check_g2(d, "oml")
 
     def test_intersection_reported_not_raised(self):
         d = build_diagram(["a", "b", "c", "x"], [["a", "b", "x"], ["a", "b", "c"]])

@@ -17,6 +17,8 @@ from greechie_mle import (
     sample_feasible,
     shapes,
 )
+from greechie_mle import oracle
+from tests.conftest import count_calls
 
 SMALL = OracleBudget(sample_count=3000, refine_steps=400, rng_seed=5)
 
@@ -89,6 +91,28 @@ class TestSampleFeasible:
         c = list(sample_feasible(d, start, other))
         assert c != a
 
+    @pytest.mark.parametrize(
+        "count",
+        [1, oracle._WALKERS - 1, oracle._WALKERS + 1, 4097, 10_001],
+    )
+    def test_lockstep_stream_length_and_feasibility(self, count):
+        d = shapes.four_cycle()
+        budget = OracleBudget(sample_count=count, rng_seed=2)
+        samples = list(sample_feasible(d, interior_point(d), budget))
+        assert len(samples) == count
+        points = np.array([[s[x] for x in d.outcomes] for s in samples])
+        assert points.min() >= 0.0
+        assert np.max(np.abs(points @ incidence_matrix(d).T - 1.0)) <= 1e-9
+
+    def test_lockstep_stream_deterministic_per_seed(self):
+        d = shapes.path3()
+        start = interior_point(d)
+        budget = OracleBudget(sample_count=oracle._CHUNK + 3, rng_seed=9)
+        a = list(sample_feasible(d, start, budget))
+        assert a == list(sample_feasible(d, start, budget))
+        other = OracleBudget(sample_count=budget.sample_count, rng_seed=10)
+        assert list(sample_feasible(d, start, other)) != a
+
     def test_moves_through_the_region(self):
         d = shapes.tennis()
         start = interior_point(d)
@@ -119,6 +143,12 @@ class TestBruteForce:
         best = brute_force_mle(d, freq, budget)
         target = estimate(d, freq)
         assert log_likelihood(freq, best) == pytest.approx(target.log_lik, abs=1e-6)
+
+    def test_nullspace_computed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "nullspace_basis")
+        d = shapes.path3()
+        brute_force_mle(d, {x: 3 for x in d.outcomes}, SMALL)
+        assert len(calls) == 1
 
     def test_degenerate_short_circuit(self):
         d = build_diagram(["a"], [["a"]])
