@@ -18,7 +18,7 @@ print(json.dumps(plan_summary(build_plan(tennis())), indent=2))
 
 # A chain plus a detached coin: a horizontal sum with a chain child.
 chain_and_coin = build_diagram(
-    ["a1", "a2", "y1", "b", "y2", "c1", "c2", "d1", "d2", "y3", "h", "t"],
+    ["a1", "a2", "y1", "b", "y2", "c1", "d1", "d2", "y3", "h", "t"],
     [
         ["a1", "a2", "y1"],
         ["y1", "b", "y2"],

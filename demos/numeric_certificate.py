@@ -1,9 +1,10 @@
 """The four-cycle has no closed form; the dual solver certifies it.
 
 Every outcome sits in two operations, so no decomposition applies and
-the estimate comes from dual coordinate descent.  The KKT residual
-printed at the end is the certificate: stationarity and feasibility of
-the returned point, checked after the fact, independent of the solve.
+the estimate comes from damped Newton iterations on the dual; "sweeps"
+counts them.  The KKT residual printed after the operation sums is the
+certificate: stationarity of the returned point under the solver's own
+multipliers, and its largest operation-sum gap.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ counts = {x: int(rng.integers(1, 40)) for x in diagram.outcomes}
 print("counts:", counts)
 
 result = estimate(diagram, counts)
-print(f"method: {result.method}, sweeps: {result.diagnostics['sweeps']}")
+print(f"method: {result.method}, Newton iterations: {result.diagnostics['sweeps']}")
 for op in diagram.operations:
     print(f"  sum over {op} = {sum(float(result.p[x]) for x in op):.15f}")
 print(f"KKT residual: {result.residual:.2e}")

@@ -5,10 +5,10 @@ decomposition pass: single operations (the multinomial case, solved by
 the empirical distribution), horizontal sums (independent subproblems),
 products (operation weights times conditional factor solutions), and
 chains (splitting parameters satisfying a consistency system that is
-linear for two operations, quadratic for three, and solved iteratively
-beyond that).  Rational inputs stay rational wherever the solution is a
-rational function of the counts; chain roots are algebraic irrationals
-and use floating point with a 1e-12 residual target.
+linear for two operations and quadratic for three; longer chains go to
+the numeric solver).  Rational inputs stay rational wherever the
+solution is a rational function of the counts; chain roots are
+algebraic irrationals and use floating point.
 
 ``estimate`` is the top-level entry point: it validates counts, applies
 zero-count reduction, builds a plan, dispatches it, and re-inserts the
@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .decompose import (
     Chain,
@@ -34,6 +32,7 @@ from .decompose import (
     NumericLeaf,
     Product,
     build_plan,
+    plan_leaves,
     plan_summary,
     plan_verdict,
 )
@@ -52,7 +51,6 @@ from .errors import (
     InfeasibleEstimate,
     InfeasibleReduction,
     NoClosedForm,
-    NonConvergence,
     NoRootInUnitInterval,
     ZeroComponent,
     ZeroFactor,
@@ -111,7 +109,8 @@ class MleResult:
     """Solver output: the assignment, the route that produced it, the
     log-likelihood at the assignment, and an optimality certificate
     (0 by convention for exact rational routes, the consistency residual
-    for chains, the KKT residual for the numeric solver)."""
+    for three-operation chains, the KKT residual for the numeric solver
+    and the longer chains it solves)."""
 
     p: dict[OutcomeId, Number]
     method: str
@@ -200,16 +199,13 @@ def solve_horizontal(
         if overlap:
             raise ValueError(f"components are not disjoint: {sorted(overlap)}")
         seen.update(comp.outcomes)
-    for i, comp in enumerate(components):
-        if sum(freq[x] for x in comp.outcomes) == 0:
-            raise ZeroComponent(i)
-    children = [execute_plan(build_plan(comp), _sub_freq(comp, freq)) for comp in components]
     if diagram is None:
         diagram = GreechieDiagram(
             outcomes=tuple(itertools.chain.from_iterable(c.outcomes for c in components)),
             operations=tuple(itertools.chain.from_iterable(c.operations for c in components)),
         )
-    return _stitch(diagram, freq, children, "horizontal")
+    children = tuple(build_plan(comp) for comp in components)
+    return execute_plan(HorizontalSum(diagram=diagram, children=children), freq)
 
 
 def solve_product(
@@ -225,18 +221,7 @@ def solve_product(
     outcomes, the weight is n(B_i) / sum_j n(B_j), and the conditional
     estimate within factor i is that factor's own MLE, so
     p(x) = weight_i * p(x | factor i).  Exact when the factors solve
-    exactly."""
-    totals = [sum(freq[x] for x in f.outcomes) for f in factors]
-    for i, t in enumerate(totals):
-        if t == 0:
-            raise ZeroFactor(i)
-    grand = sum(totals)
-    weights = [Fraction(t, grand) for t in totals]
-    children = [execute_plan(build_plan(f), _sub_freq(f, freq)) for f in factors]
-    p: dict[OutcomeId, Number] = {}
-    for w, child in zip(weights, children):
-        for x, q in child.p.items():
-            p[x] = w * q
+    exactly.  A factor with no observations raises ZeroFactor."""
     if diagram is None:
         # Reconstruct the full product: one operation per combination of
         # factor operations.  Only the edge sets matter for validation.
@@ -247,12 +232,8 @@ def solve_product(
                 tuple(itertools.chain.from_iterable(combo)) for combo in combos
             ),
         )
-    diagnostics = {"weights": [float(w) for w in weights]}
-    _merge_child_diagnostics(diagnostics, children)
-    residual = max((c.residual for c in children), default=0.0)
-    return finish_result(
-        diagram, _sub_freq(diagram, freq), p, "product", residual, diagnostics
-    )
+    plans = tuple(build_plan(f) for f in factors)
+    return execute_plan(Product(diagram=diagram, factors=plans), freq)
 
 
 def _stitch(
@@ -330,7 +311,12 @@ def solve_chain2(
     leaves one quadratic in c_2.  Its constant coefficient is strictly
     negative and its leading coefficient strictly positive, so exactly
     one root is positive, and strict concavity of the likelihood puts it
-    in (0, 1)."""
+    in (0, 1).
+
+    The complements 1-c_i are computed directly rather than by
+    subtraction, which would keep only a few digits when c_i is within
+    1e-8 of 1: 1-c_2 is the unit-interval root of the same quadratic
+    in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2))."""
     if chain.m != 3:
         raise ValueError("solve_chain2 requires exactly three operations")
     (b1, b2, b3), (m1, m2) = _chain_counts(chain, freq)
@@ -339,19 +325,14 @@ def solve_chain2(
     qa = m2 * (b2 + m1 + b3)
     qb = b2 * (b1 + b2 + m1) + b3 * (b1 + b2) - m2 * (b2 + m1)
     qc = -b2 * (b1 + b2 + m1)
-    roots = _stable_quadratic_roots(qa, qb, qc)
-    inside = [r for r in roots if 0.0 < r < 1.0]
-    if len(inside) != 1:
-        if len(inside) == 2 and abs(inside[0] - inside[1]) <= 1e-14:
-            inside = inside[:1]
-        else:
-            raise NoRootInUnitInterval(tuple(roots))
-    c2 = inside[0]
+    c2 = _unit_root(qa, qb, qc)
+    u2 = _unit_root(qa, -(2 * qa + qb), qa + qb + qc)
     c1 = (b2 + c2 * m2) / (b1 + b2 + c2 * m2)
+    u1 = b1 / (b1 + b2 + c2 * m2)
 
-    d1 = b1 + (1.0 - c1) * m1
+    d1 = b1 + u1 * m1
     d2 = b2 + c1 * m1 + c2 * m2
-    d3 = b3 + (1.0 - c2) * m2
+    d3 = b3 + u2 * m2
     p: dict[OutcomeId, Number] = {}
     for interior, d in zip(chain.interiors, (d1, d2, d3)):
         for x in interior:
@@ -361,8 +342,8 @@ def solve_chain2(
     p[y2] = c2 * m2 / d2
 
     residual = max(
-        abs((1.0 - c1) * m1 / d1 - c1 * m1 / d2),
-        abs((1.0 - c2) * m2 / d3 - c2 * m2 / d2),
+        abs(u1 * m1 / d1 - c1 * m1 / d2),
+        abs(u2 * m2 / d3 - c2 * m2 / d2),
     )
     if diagram is None:
         diagram = _chain_diagram(chain)
@@ -373,6 +354,17 @@ def solve_chain2(
     return finish_result(
         diagram, _sub_freq(diagram, freq), p, "chain-closed", residual, diagnostics
     )
+
+
+def _unit_root(qa: int, qb: int, qc: int) -> float:
+    """The one root of qa x^2 + qb x + qc in (0, 1)."""
+    roots = _stable_quadratic_roots(qa, qb, qc)
+    inside = [r for r in roots if 0.0 < r < 1.0]
+    if len(inside) == 2 and abs(inside[0] - inside[1]) <= 1e-14:
+        inside = inside[:1]
+    if len(inside) != 1:
+        raise NoRootInUnitInterval(tuple(roots))
+    return inside[0]
 
 
 def _stable_quadratic_roots(qa: int, qb: int, qc: int) -> tuple[float, float]:
@@ -403,8 +395,7 @@ def solve_chain_k(
     freq: FrequencyTable,
     *,
     diagram: Optional[GreechieDiagram] = None,
-    residual_target: float = 1e-12,
-    max_iterations: int = 200,
+    config=None,
 ) -> MleResult:
     """Chain of m >= 2 operations with m-1 splitting parameters.
 
@@ -415,12 +406,12 @@ def solve_chain_k(
     shared outcome requires (1-c_i)/D_i = c_i/D_{i+1}.
 
     m = 2 is linear in c_1 and solved in exact rationals.  m = 3 is the
-    quadratic handled by solve_chain2.  For m >= 4 the consistency
-    system is solved by damped Newton iteration with an exact
-    per-coordinate fallback sweep; all iterates stay inside the open
-    unit cube, where uniqueness of the optimum is guaranteed by strict
-    concavity.  Raises NonConvergence if the residual target is not met
-    within the iteration budget."""
+    quadratic handled by solve_chain2.  For m >= 4 the chain's diagram
+    goes to the numeric solver with ``config`` (a SolverConfig, or None
+    for its defaults), under the method name "chain-iterative".  Its
+    multipliers are the denominators, D_j = lambda_j, so the splitting
+    parameters are c_i = lambda_{i+1} / (lambda_i + lambda_{i+1}).
+    Raises NonConvergence when the numeric solver does."""
     if chain.m == 3:
         return solve_chain2(chain, freq, diagram=diagram)
     b_int, mu_int = _chain_counts(chain, freq)
@@ -445,83 +436,15 @@ def solve_chain_k(
             diagram, _sub_freq(diagram, freq), p, "chain-closed", 0.0, diagnostics
         )
 
-    m = chain.m
-    b = np.array(b_int, dtype=float)
-    mu = np.array(mu_int, dtype=float)
+    from .numeric import solve_numeric
 
-    def denominators(c: np.ndarray) -> np.ndarray:
-        d = b.copy()
-        d[:-1] += (1.0 - c) * mu
-        d[1:] += c * mu
-        return d
-
-    def residual_vec(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = denominators(c)
-        return mu * ((1.0 - c) / d[:-1] - c / d[1:]), d
-
-    c = np.full(m - 1, 0.5)
-    f_val, d = residual_vec(c)
-    res = float(np.max(np.abs(f_val)))
-    iterations = 0
-    while res >= residual_target:
-        iterations += 1
-        if iterations > max_iterations:
-            raise NonConvergence(iterations - 1, res)
-        jac = _chain_jacobian(c, d, mu)
-        try:
-            delta = np.linalg.solve(jac, -f_val)
-        except np.linalg.LinAlgError:
-            delta = None
-        accepted = False
-        if delta is not None:
-            step = 1.0
-            for _ in range(40):
-                cand = c + step * delta
-                if np.all(cand > 0.0) and np.all(cand < 1.0):
-                    f_cand, d_cand = residual_vec(cand)
-                    cand_res = float(np.max(np.abs(f_cand)))
-                    if cand_res < res:
-                        c, f_val, d, res = cand, f_cand, d_cand, cand_res
-                        accepted = True
-                        break
-                step *= 0.5
-        if not accepted:
-            # Exact coordinate solve: with neighbors fixed, the i-th
-            # consistency equation is linear in c_i.
-            for i in range(m - 1):
-                left = b[i] + (c[i - 1] * mu[i - 1] if i > 0 else 0.0)
-                right = b[i + 1] + ((1.0 - c[i + 1]) * mu[i + 1] if i < m - 2 else 0.0)
-                c[i] = right / (left + right)
-            f_val, d = residual_vec(c)
-            res = float(np.max(np.abs(f_val)))
-
-    p = {}
-    for j, interior in enumerate(chain.interiors):
-        for x in interior:
-            p[x] = freq[x] / d[j]
-    for i, y in enumerate(chain.shared):
-        p[y] = (1.0 - c[i]) * mu[i] / d[i]
-    diagnostics = {
-        "splitting_parameters": [float(v) for v in c],
-        "iterations": iterations,
-    }
-    return finish_result(
-        diagram, _sub_freq(diagram, freq), p, "chain-iterative", res, diagnostics
-    )
-
-
-def _chain_jacobian(c: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Tridiagonal Jacobian of the chain consistency residuals."""
-    lo = d[:-1]  # D_i for residual i
-    hi = d[1:]  # D_{i+1}
-    diag = mu * (((1.0 - c) * mu - lo) / lo**2 + (c * mu - hi) / hi**2)
-    jac = np.diag(diag)
-    if len(c) > 1:
-        mid = d[1:-1]
-        sub = -mu[1:] * (1.0 - c[1:]) * mu[:-1] / mid**2
-        sup = -mu[:-1] * c[:-1] * mu[1:] / mid**2
-        jac += np.diag(sub, k=-1) + np.diag(sup, k=1)
-    return jac
+    result = solve_numeric(diagram, _sub_freq(diagram, freq), config)
+    position = {op: j for j, op in enumerate(diagram.operations)}
+    lam = [result.diagnostics["multipliers"][position[edge]] for edge in chain.edges]
+    result.diagnostics["splitting_parameters"] = [
+        right / (left + right) for left, right in zip(lam, lam[1:])
+    ]
+    return replace(result, method="chain-iterative")
 
 
 # ----------------------------------------------------------------- dispatcher
@@ -533,10 +456,10 @@ def execute_plan(
     """Dispatch a decomposition tree to the matching solvers and stitch
     the pieces into one assignment over the plan's diagram.
 
-    Chains that fail to converge fall back to the general numeric
-    solver.  ``config`` (a SolverConfig, or None for its defaults) goes
-    to every numeric solve.  Errors raised by a nested solver gain a
-    ``node_path`` attribute locating the failing node in the tree."""
+    ``config`` (a SolverConfig, or None for its defaults) goes to every
+    numeric solve: the numeric leaves and the chains of four or more
+    operations.  Errors raised by a nested solver gain a ``node_path``
+    attribute locating the failing node in the tree."""
     return _execute(plan, freq, "root", config)
 
 
@@ -560,14 +483,9 @@ def _execute(
         if isinstance(plan, Product):
             return _execute_product(plan, freq, path, config)
         if isinstance(plan, Chain):
-            try:
-                return solve_chain_k(plan.descriptor, freq, diagram=plan.diagram)
-            except NonConvergence:
-                from .numeric import solve_numeric
-
-                result = solve_numeric(plan.diagram, freq, config)
-                result.diagnostics["fallback_from"] = "chain-iterative"
-                return result
+            return solve_chain_k(
+                plan.descriptor, freq, diagram=plan.diagram, config=config
+            )
         assert isinstance(plan, NumericLeaf)
         from .numeric import solve_numeric
 
@@ -632,13 +550,15 @@ def estimate(
         raise InfeasibleReduction(reduction.dropped_operations)
 
     plan = build_plan(reduction.diagram)
+    verdict = plan_verdict(plan)
+    leaves = list(plan_leaves(plan))
     if method == "numeric":
         from .numeric import solve_numeric
 
         inner = solve_numeric(reduction.diagram, reduction.freq, config)
     else:
-        if method == "closed" and plan_verdict(plan) == "numeric-only":
-            culprit = _first_numeric_leaf(plan)
+        if method == "closed" and verdict == "numeric-only":
+            culprit = next(leaf for leaf in leaves if isinstance(leaf, NumericLeaf))
             raise NoClosedForm(culprit.diagram.outcomes)
         inner = execute_plan(plan, reduction.freq, config)
 
@@ -647,37 +567,19 @@ def estimate(
         p[x] = Fraction(0)
     diagnostics = dict(inner.diagnostics)
     diagnostics["tree"] = plan_summary(plan)
-    diagnostics["verdict"] = plan_verdict(plan)
+    diagnostics["verdict"] = verdict
     if reduction.zeroed:
         diagnostics["zeroed"] = sorted(reduction.zeroed)
-    # Numeric results are only as feasible as the solver's stopping rule.
-    if method == "numeric" or plan_verdict(plan) == "numeric-only":
+    # Numeric results, on numeric leaves and on chains of four or more
+    # operations, are only as feasible as the solver's stopping rule.
+    if method == "numeric" or any(
+        isinstance(leaf, NumericLeaf)
+        or (isinstance(leaf, Chain) and leaf.descriptor.m >= 4)
+        for leaf in leaves
+    ):
         tol = 1e-9
         if config is not None:
             tol = max(tol, float(config.kkt_tolerance))
     else:
         tol = 1e-10
     return finish_result(diagram, freq, p, inner.method, inner.residual, diagnostics, tol=tol)
-
-
-def _first_numeric_leaf(plan: DecompositionTree) -> NumericLeaf:
-    if isinstance(plan, NumericLeaf):
-        return plan
-    if isinstance(plan, HorizontalSum):
-        for child in plan.children:
-            found = _first_numeric_leaf_or_none(child)
-            if found is not None:
-                return found
-    if isinstance(plan, Product):
-        for child in plan.factors:
-            found = _first_numeric_leaf_or_none(child)
-            if found is not None:
-                return found
-    raise AssertionError("plan contains no numeric leaf")
-
-
-def _first_numeric_leaf_or_none(plan: DecompositionTree) -> Optional[NumericLeaf]:
-    try:
-        return _first_numeric_leaf(plan)
-    except AssertionError:
-        return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .diagram import GreechieDiagram, Operation, OutcomeId
 
@@ -356,6 +356,18 @@ def plan_summary(node: DecompositionTree) -> dict:
     return {"kind": "product", "factors": [plan_summary(f) for f in node.factors]}
 
 
+def plan_leaves(node: DecompositionTree) -> Iterator[DecompositionTree]:
+    """The classical, chain and numeric leaves of a plan tree, in order."""
+    if isinstance(node, HorizontalSum):
+        for child in node.children:
+            yield from plan_leaves(child)
+    elif isinstance(node, Product):
+        for factor in node.factors:
+            yield from plan_leaves(factor)
+    else:
+        yield node
+
+
 def plan_verdict(node: DecompositionTree) -> str:
     """constructible | chain-solvable | numeric-only.
 
@@ -363,18 +375,9 @@ def plan_verdict(node: DecompositionTree) -> str:
     sums and products only; a chain anywhere downgrades to
     chain-solvable, and any numeric leaf to numeric-only.
     """
-    kinds = set()
-
-    def walk(nd: DecompositionTree) -> None:
-        if isinstance(nd, (HorizontalSum, Product)):
-            for child in nd.children if isinstance(nd, HorizontalSum) else nd.factors:
-                walk(child)
-        else:
-            kinds.add(type(nd).__name__)
-
-    walk(node)
-    if "NumericLeaf" in kinds:
+    kinds = {type(leaf) for leaf in plan_leaves(node)}
+    if NumericLeaf in kinds:
         return "numeric-only"
-    if "Chain" in kinds:
+    if Chain in kinds:
         return "chain-solvable"
     return "constructible"

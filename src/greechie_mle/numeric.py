@@ -1,25 +1,30 @@
-"""General concave MLE solver: dual coordinate ascent.
+"""General concave MLE solver: damped Newton on the dual.
 
 Maximizes sum_x n(x) ln p(x) over per-operation normalization and
 nonnegativity, for any valid diagram.  Stationarity of the Lagrangian
-gives p(x) = n(x) / sum_{B containing x} lambda_B, so the dual variables
-are one multiplier per operation.  Sweeping the operations and solving
-each multiplier's scalar equation exactly is a cyclic minimization of
-the (convex, smooth) dual; the primal iterate implied by the
-multipliers satisfies stationarity by construction, which leaves the
-per-operation probability sums as the whole KKT residual during the
-run.
+gives p(x) = n(x) / sigma(x), where sigma(x) = sum_{B containing x}
+lambda_B sums one multiplier per operation.  The multipliers minimize
+the convex dual
 
-The scalar subproblem for operation B, with the other multipliers held
-at r_x = sum_{B' != B, x in B'} lambda_{B'}, is
+    g(lambda) = sum_B lambda_B - sum_x n(x) ln sigma(x),   sigma > 0,
 
-    h(t) = sum_{x in B} n(x) / (t + r_x) - 1 = 0,   t > -min_x r_x.
+whose gradient 1 - sum_{x in B} p(x) is the operation-sum gap of the
+implied primal point and whose Hessian is A diag(n / sigma^2) A^T for
+the operation-outcome incidence A.  The implied point satisfies
+stationarity by construction, which leaves the sum gaps as the whole
+KKT residual during the run.
 
-h is strictly decreasing and convex on that domain, so a bracketed
-Newton iteration converges without step-size tuning.  Note the domain:
-multipliers of operations whose outcomes mostly live in other, heavily
-observed operations are legitimately negative at the optimum, so t is
-bounded below by the pole, not by zero.
+Each iteration solves the Newton system after Jacobi equilibration
+(scaling by diag(H)^-1/2, without which skewed counts stall) and
+backtracks (Armijo) on the exact change of g along the step, written
+through log1p.  g itself is about 1e10 at large counts, so differences
+of g would be lost to rounding.  Steps that make some sigma(x)
+nonpositive are rejected.  See Boyd & Vandenberghe, Convex
+Optimization, section 9.5.
+
+Multipliers of operations whose outcomes mostly live in other, heavily
+observed operations are legitimately negative at the optimum; only
+their sums sigma(x) must stay positive.
 """
 
 from __future__ import annotations
@@ -30,55 +35,42 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .closed_form import MleResult, finish_result
-from .diagram import FrequencyTable, GreechieDiagram, Operation, OutcomeId
+from .diagram import FrequencyTable, GreechieDiagram, OutcomeId
 from .errors import NonConvergence
 
-# Lower-bracket offset above the pole of h; keeps 1/(t - pole) finite.
-_POLE_FLOOR = 1e-300
-
-# Once the configured tolerance is met, keep sweeping down to this gap
-# (or until the gap stalls at the double-precision floor).
+# Once the configured tolerance is met, keep iterating down to this gap
+# unless the gap stops falling first (it is not monotone while the
+# steps are damped, so this rule only applies below the tolerance).
 _POLISH_GAP = 1e-13
+
+# Armijo sufficient-decrease fraction, and the step halvings allowed
+# before the line search gives up at the rounding floor.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+
+# Added to the unit diagonal of the equilibrated Newton matrix.  When
+# operations' incidence rows are linearly dependent the Hessian is
+# singular and the dual is flat along its null space; the ridge keeps
+# the step there bounded, and it lies far below the curvature of every
+# other direction.
+_RIDGE = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rules for the dual ascent.
+    """Stopping rules for the dual Newton iteration.
 
     kkt_tolerance bounds the final KKT residual; max_sweeps caps the
-    number of full passes over the operations; inner_root_tolerance is
-    the |h| target of each scalar solve.  Initialization is always the
-    deterministic lambda_B = n(B) (deterministic_init is reserved and
-    must stay True)."""
+    number of Newton iterations."""
 
     kkt_tolerance: float = 1e-10
-    max_sweeps: int = 100_000
-    inner_root_tolerance: float = 1e-14
-    deterministic_init: bool = True
+    max_sweeps: int = 200
 
     def __post_init__(self) -> None:
-        if self.kkt_tolerance <= 0 or self.inner_root_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.kkt_tolerance <= 0:
+            raise ValueError("kkt_tolerance must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if not self.deterministic_init:
-            raise ValueError("only deterministic initialization is supported")
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Multipliers keyed by operation.  The sum over the operations
-    containing any observed outcome must stay positive, since it is that
-    outcome's n(x)/p(x); individual multipliers may have either sign."""
-
-    lam: Mapping[Operation, float]
-
-    def validate(self, diagram: GreechieDiagram, freq: FrequencyTable) -> None:
-        for x in diagram.outcomes:
-            if freq[x] > 0:
-                sigma = sum(self.lam[diagram.operations[j]] for j in diagram.edges_of[x])
-                if sigma <= 0:
-                    raise ValueError(f"multiplier sum at {x!r} is not positive")
 
 
 def solve_numeric(
@@ -86,121 +78,117 @@ def solve_numeric(
     freq: FrequencyTable,
     config: Optional[SolverConfig] = None,
 ) -> MleResult:
-    """Dual coordinate ascent to a KKT-certified maximizer.
+    """Damped Newton on the dual to a KKT-certified maximizer.
 
-    Requires positive counts (apply zero-count reduction first: with a
-    zero-count operation total the scalar equation has no root).  Sweeps
-    operations in declaration order; each sweep re-solves every
-    multiplier exactly, and the run stops once the largest operation-sum
-    gap of the implied primal point drops below kkt_tolerance.  Raises
-    NonConvergence with the last gap when the sweep budget runs out."""
+    Requires positive counts (apply zero-count reduction first).  Starts
+    from lambda_B = n(B) and stops once the largest operation-sum gap is
+    below 1e-13, or below kkt_tolerance and no longer falling.  The
+    residual is the larger of that gap and the stationarity mismatch
+    max |p(x) sigma(x) / n(x) - 1| of the solver's own multipliers.
+    Raises NonConvergence with the last gap when max_sweeps iterations
+    run out, or when the line search finds no decrease above the
+    tolerance."""
     config = config or SolverConfig()
-    n_out = len(diagram.outcomes)
-    m = len(diagram.operations)
     idx = diagram.outcome_index
-    counts = np.empty(n_out)
+    m = len(diagram.operations)
+    counts = np.empty(len(idx))
+    # The incidence as (outcome, operation) index pairs, and for the
+    # Hessian every ordered pair of operations sharing an outcome.
+    outs: list[int] = []
+    ops: list[int] = []
+    pair_out: list[int] = []
+    pair_cell: list[int] = []
     for x, i in idx.items():
         if freq[x] <= 0:
             raise ValueError(
                 f"numeric solver requires positive counts; {x!r} has {freq[x]}"
             )
         counts[i] = freq[x]
-    members = [np.array([idx[x] for x in op]) for op in diagram.operations]
+        edges = diagram.edges_of[x]
+        outs += [i] * len(edges)
+        ops += edges
+        pair_out += [i] * len(edges) ** 2
+        pair_cell += [j * m + k for j in edges for k in edges]
+    n_out = len(counts)
+    outs, ops, pair_out, pair_cell = map(np.array, (outs, ops, pair_out, pair_cell))
+    log_counts = np.log(counts)
 
-    lam = np.array([counts[mem].sum() for mem in members])
-    sigma = np.zeros(n_out)
-    for j, mem in enumerate(members):
-        sigma[mem] += lam[j]
+    def incidence_t(lam: np.ndarray) -> np.ndarray:  # A^T lam
+        return np.bincount(outs, weights=lam[ops], minlength=n_out)
 
-    # Per-sweep records.  The dual objective (up to a constant) is the
-    # certified monotone quantity: each scalar solve minimizes it in one
-    # coordinate exactly.  The log-likelihood of the implied point n/sigma
-    # is only a diagnostic; while the point is infeasible it can overshoot
-    # the optimum and come back down, and it does on most diagrams.
-    sweep_loglik: list[float] = []
+    lam = np.bincount(ops, weights=counts[outs], minlength=m)
+    # Records at the start point and after each step: the dual
+    # objective falls on every accepted step; the log-likelihood of the
+    # implied point is only a diagnostic, and it overshoots while that
+    # point is infeasible.
     sweep_dual: list[float] = []
-    gap = np.inf
+    sweep_loglik: list[float] = []
+    iterations = 0
     prev_gap = np.inf
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        for j, mem in enumerate(members):
-            r = sigma[mem] - lam[j]
-            n_b = counts[mem]
-            root = _solve_edge_multiplier(n_b, r, lam[j], config.inner_root_tolerance)
-            sigma[mem] += root - lam[j]
-            lam[j] = root
+    while True:
+        sigma = incidence_t(lam)
+        p = counts / sigma
+        grad = 1.0 - np.bincount(ops, weights=p[outs], minlength=m)
+        gap = float(np.abs(grad).max())
         log_sigma = np.log(sigma)
-        sweep_loglik.append(float(np.dot(counts, np.log(counts) - log_sigma)))
-        sweep_dual.append(float(lam.sum() - np.dot(counts, log_sigma)))
-        p_vec = counts / sigma
-        gap = max(abs(p_vec[mem].sum() - 1.0) for mem in members)
-        if gap < config.kkt_tolerance:
-            # Contract met.  Polish further: the likelihood deficit of the
-            # returned point scales like (sum of multipliers) * gap, so a
-            # gap at the advertised tolerance can still cost ~1e-9 in
-            # log-likelihood.  Sweep on until the gap reaches the polish
-            # floor or stops improving.
-            converged = True
-            if gap < _POLISH_GAP or gap >= prev_gap:
+        sweep_dual.append(float(lam.sum() - counts @ log_sigma))
+        sweep_loglik.append(float(counts @ (log_counts - log_sigma)))
+        if gap <= _POLISH_GAP or prev_gap <= gap <= config.kkt_tolerance:
+            break
+        if iterations == config.max_sweeps:
+            raise NonConvergence(iterations, gap)
+        hess = np.bincount(pair_cell, weights=(p / sigma)[pair_out], minlength=m * m)
+        hess = hess.reshape(m, m)
+        scale = 1.0 / np.sqrt(np.diag(hess))
+        scaled = hess * scale[:, None] * scale
+        scaled[np.diag_indices(m)] += _RIDGE
+        step = scale * np.linalg.solve(scaled, -scale * grad)
+        t = _armijo_step(step, incidence_t(step) / sigma, counts, float(grad @ step))
+        if t is None:
+            if gap <= config.kkt_tolerance:
                 break
+            raise NonConvergence(iterations, gap)
+        lam = lam + t * step
+        iterations += 1
         prev_gap = gap
-    if not converged:
-        raise NonConvergence(config.max_sweeps, float(gap))
 
-    p = {x: float(counts[i] / sigma[i]) for x, i in idx.items()}
-    residual = kkt_residual(diagram, freq, p)
-    dual = DualState(lam={op: float(lam[j]) for j, op in enumerate(diagram.operations)})
-    dual.validate(diagram, freq)
+    p_map = {x: float(p[i]) for x, i in idx.items()}
+    stationarity = float(np.abs(p * sigma / counts - 1.0).max())
     diagnostics = {
-        "sweeps": sweeps,
-        "multipliers": [float(v) for v in lam],
-        "sweep_loglik": sweep_loglik,
+        "sweeps": iterations,
+        "multipliers": lam.tolist(),
         "sweep_dual": sweep_dual,
-        "dual_state": dual,
+        "sweep_loglik": sweep_loglik,
     }
     return finish_result(
-        diagram, freq, p, "numeric", residual, diagnostics, tol=config.kkt_tolerance
+        diagram,
+        freq,
+        p_map,
+        "numeric",
+        max(stationarity, gap),
+        diagnostics,
+        tol=config.kkt_tolerance,
     )
 
 
-def _solve_edge_multiplier(
-    n_b: np.ndarray, r: np.ndarray, warm: float, tol: float
-) -> float:
-    """Root of h(t) = sum n_b/(t + r) - 1 on (pole, inf), pole = -min r.
+def _armijo_step(
+    step: np.ndarray, ratio: np.ndarray, counts: np.ndarray, slope: float
+) -> Optional[float]:
+    """Backtracking length along ``step``, or None at the rounding floor.
 
-    h decreases strictly from +inf to 0 on the domain, and the root lies
-    in (pole, pole + sum n_b]: at the upper end every term is at most
-    n_i / sum n_b.  Newton steps are safeguarded by the shrinking
-    bracket; h's convexity makes unclamped Newton from the left
-    monotone, so the bracket rarely intervenes."""
-    pole = -float(r.min())
-    lo = pole + _POLE_FLOOR
-    hi = pole + float(n_b.sum())
-
-    def h(t: float) -> float:
-        return float((n_b / (t + r)).sum()) - 1.0
-
-    # h(hi) <= 0 by the bound above; equality only when every r equals
-    # the pole, in which case hi is the root.
-    t = warm if lo < warm < hi else 0.5 * (lo + hi)
-    for _ in range(100):
-        val = h(t)
-        if abs(val) <= tol:
-            return t
-        if val > 0.0:
-            lo = t
-        else:
-            hi = t
-        slope = float((n_b / (t + r) ** 2).sum())  # -h'(t)
-        candidate = t + val / slope
-        if lo < candidate < hi:
-            t = candidate
-        else:
-            t = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            return t
-    return t
+    ``ratio`` is A^T step / sigma, so the change of the dual at length t
+    is t sum(step) - sum n log1p(t ratio), which stays accurate however
+    large g is.  ``slope`` is the directional derivative grad . step."""
+    total = float(step.sum())
+    lowest = float(ratio.min())
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        if t * lowest > -1.0:
+            change = t * total - float(counts @ np.log1p(t * ratio))
+            if change <= _ARMIJO * t * slope:
+                return t
+        t *= 0.5
+    return None
 
 
 def kkt_residual(
