@@ -2,9 +2,10 @@
 
 Every outcome sits in two operations, so no decomposition applies and
 the estimate comes from damped Newton iterations on the dual; "sweeps"
-counts them.  The KKT residual printed after the operation sums is the
-certificate: stationarity of the returned point under the solver's own
-multipliers, and its largest operation-sum gap.
+counts them.  The returned point p = n / sigma is stationary under the
+solver's own multipliers by construction, so its certificate, printed
+after the operation sums, is its worst constraint gap: the largest
+distance of an operation sum from 1 or of a probability from [0, 1].
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ result = estimate(diagram, counts)
 print(f"method: {result.method}, Newton iterations: {result.diagnostics['sweeps']}")
 for op in diagram.operations:
     print(f"  sum over {op} = {sum(float(result.p[x]) for x in op):.15f}")
-print(f"KKT residual: {result.residual:.2e}")
+print(f"certificate (worst constraint gap): {result.residual:.2e}")
 print(f"multipliers: {[round(v, 3) for v in result.diagnostics['multipliers']]}")
 
 # A random-search oracle over the feasible polytope never does better.

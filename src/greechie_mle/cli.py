@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -39,10 +40,8 @@ from .diagram import (
 )
 from .errors import (
     DiagramError,
-    EmptyAfterReduction,
     EstimationError,
     GreechieError,
-    InfeasibleReduction,
     IntersectionTooLarge,
     NoClosedForm,
 )
@@ -268,14 +267,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     diagram = _build_diagram(doc)
     counts = _read_counts(doc, diagram)
     config = SolverConfig(kkt_tolerance=args.tol)
-    try:
-        result = estimate(diagram, counts, method=args.method, config=config)
-    except NoClosedForm as exc:
-        raise CliError(EXIT_NO_CLOSED_FORM, str(exc)) from exc
-    except EstimationError as exc:
-        raise CliError(EXIT_ESTIMATION, str(exc)) from exc
-    except (EmptyAfterReduction, InfeasibleReduction) as exc:
-        raise CliError(EXIT_REJECTED, str(exc)) from exc
+    result = estimate(diagram, counts, method=args.method, config=config)
 
     if args.self_check:
         _self_check(diagram, counts, result, config)
@@ -311,8 +303,7 @@ def _self_check(
     diagram: GreechieDiagram, counts: dict, result, config: SolverConfig
 ) -> None:
     """Both routes must agree coordinatewise when both exist."""
-    plan = build_plan(reduce_zero_counts(diagram, counts).diagram)
-    if plan_verdict(plan) == "numeric-only" and result.method == "numeric":
+    if result.diagnostics["verdict"] == "numeric-only" and result.method == "numeric":
         log.info("self-check: only the numeric route exists; nothing to compare")
         return
     other_method = "numeric" if result.method != "numeric" else "auto"
@@ -366,15 +357,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     doc, _ = _load_document(args.file)
     diagram = _build_diagram(doc)
     counts = _read_counts(doc, diagram)
-    try:
-        result = estimate(diagram, counts)
-        reduction = reduce_zero_counts(diagram, counts)
-        budget = OracleBudget(sample_count=args.samples, rng_seed=args.seed)
-        oracle_best = brute_force_mle(reduction.diagram, reduction.freq, budget)
-    except EstimationError as exc:
-        raise CliError(EXIT_ESTIMATION, str(exc)) from exc
-    except (EmptyAfterReduction, InfeasibleReduction) as exc:
-        raise CliError(EXIT_REJECTED, str(exc)) from exc
+    result = estimate(diagram, counts)
+    reduction = reduce_zero_counts(diagram, counts)
+    budget = OracleBudget(sample_count=args.samples, rng_seed=args.seed)
+    oracle_best = brute_force_mle(reduction.diagram, reduction.freq, budget)
 
     solver_p = dict(result.p)
     if args.corrupt:
@@ -412,6 +398,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greechie-mle",
@@ -437,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument(
         "--method", choices=("auto", "closed", "numeric"), default="auto"
     )
-    p_estimate.add_argument("--tol", type=float, default=1e-10)
+    p_estimate.add_argument("--tol", type=_positive_float, default=1e-10)
     p_estimate.add_argument(
         "--self-check",
         action="store_true",
@@ -477,7 +470,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     except GreechieError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+        if isinstance(exc, NoClosedForm):
+            return EXIT_NO_CLOSED_FORM
+        return EXIT_ESTIMATION if isinstance(exc, EstimationError) else EXIT_REJECTED
 
 
 if __name__ == "__main__":

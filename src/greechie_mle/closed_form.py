@@ -11,8 +11,8 @@ solution is a rational function of the counts; chain roots are
 algebraic irrationals and use floating point.
 
 ``estimate`` is the top-level entry point: it validates counts, applies
-zero-count reduction, builds a plan, dispatches it, and re-inserts the
-removed outcomes with probability zero.
+zero-count reduction, builds a plan, dispatches it, re-inserts the
+removed outcomes with probability zero, and certifies the result once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .diagram import (
     Operation,
     OutcomeId,
     ProbabilityAssignment,
-    check_frequencies,
-    check_probability,
     log_likelihood,
     reduce_zero_counts,
 )
@@ -107,10 +105,11 @@ class SplittingParameters:
 @dataclass(frozen=True)
 class MleResult:
     """Solver output: the assignment, the route that produced it, the
-    log-likelihood at the assignment, and an optimality certificate
-    (0 by convention for exact rational routes, the consistency residual
-    for three-operation chains, the KKT residual for the numeric solver
-    and the longer chains it solves)."""
+    log-likelihood at the assignment, and its certificate ``residual``,
+    the worst constraint gap (the largest distance of an operation sum
+    from 1 or of a probability from [0, 1]): exactly 0.0 on the exact
+    rational routes.  Every route is stationary by construction; the
+    numeric route keeps its multipliers in ``diagnostics``."""
 
     p: dict[OutcomeId, Number]
     method: str
@@ -124,31 +123,36 @@ def finish_result(
     freq: FrequencyTable,
     p: dict[OutcomeId, Number],
     method: str,
-    residual: float,
     diagnostics: Optional[dict] = None,
     tol: float = 1e-10,
 ) -> MleResult:
-    """Wrap an assignment into an MleResult, enforcing its invariants.
+    """Wrap an assignment into an MleResult and certify it.
 
-    Raises InfeasibleEstimate when p leaves [0, 1] or misses an
-    operation sum by more than tol."""
-    if not check_probability(diagram, p, tol=tol):
-        raise InfeasibleEstimate(method, _worst_gap(diagram, p), tol)
+    The residual is measured here, as the worst constraint gap of p on
+    ``diagram``, and the same number decides feasibility: a gap above
+    tol (or NaN) raises InfeasibleEstimate."""
+    if p.keys() != diagram.outcome_index.keys():
+        raise ValueError("the assignment must cover exactly the diagram's outcomes")
+    gap = _worst_gap(diagram, p)
+    if not gap <= tol:
+        raise InfeasibleEstimate(method, gap, tol)
     return MleResult(
         p=p,
         method=method,
         log_lik=log_likelihood(freq, p),
-        residual=residual,
+        residual=gap,
         diagnostics=diagnostics or {},
     )
 
 
 def _worst_gap(diagram: GreechieDiagram, p: dict[OutcomeId, Number]) -> float:
     """Largest distance of an operation sum from 1, or of a probability
-    from [0, 1]."""
-    sums = (abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations)
-    box = (max(-float(v), float(v) - 1.0, 0.0) for v in p.values())
-    return max(itertools.chain(sums, box), default=0.0)
+    from [0, 1]; NaN when some probability is NaN."""
+    values = [float(v) for v in p.values()]
+    if math.isnan(sum(values)):  # max() would skip a NaN
+        return math.nan
+    gaps = [abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations]
+    return max(gaps + [-min(values, default=0.0), max(values, default=0.0) - 1.0, 0.0])
 
 
 def _sub_freq(diagram: GreechieDiagram, freq: FrequencyTable) -> dict[OutcomeId, int]:
@@ -175,7 +179,7 @@ def solve_classical(
     if total == 0:
         raise ZeroTotal()
     p = {x: Fraction(freq[x], total) for x in diagram.outcomes}
-    return finish_result(diagram, _sub_freq(diagram, freq), p, "classical", 0.0)
+    return finish_result(diagram, _sub_freq(diagram, freq), p, "classical")
 
 
 # ------------------------------------------------------- horizontal / product
@@ -234,32 +238,6 @@ def solve_product(
         )
     plans = tuple(build_plan(f) for f in factors)
     return execute_plan(Product(diagram=diagram, factors=plans), freq)
-
-
-def _stitch(
-    diagram: GreechieDiagram,
-    freq: FrequencyTable,
-    children: Sequence[MleResult],
-    method: str,
-) -> MleResult:
-    p: dict[OutcomeId, Number] = {}
-    for child in children:
-        p.update(child.p)
-    diagnostics: dict = {}
-    _merge_child_diagnostics(diagnostics, children)
-    residual = max((c.residual for c in children), default=0.0)
-    return finish_result(diagram, _sub_freq(diagram, freq), p, method, residual, diagnostics)
-
-
-def _merge_child_diagnostics(diagnostics: dict, children: Sequence[MleResult]) -> None:
-    split: list[float] = []
-    methods: list[str] = []
-    for child in children:
-        split.extend(child.diagnostics.get("splitting_parameters", []))
-        methods.append(child.diagnostics.get("method_chain", child.method))
-    if split:
-        diagnostics["splitting_parameters"] = split
-    diagnostics["child_methods"] = methods
 
 
 # --------------------------------------------------------------------- chains
@@ -341,19 +319,13 @@ def solve_chain2(
     p[y1] = c1 * m1 / d2
     p[y2] = c2 * m2 / d2
 
-    residual = max(
-        abs(u1 * m1 / d1 - c1 * m1 / d2),
-        abs(u2 * m2 / d3 - c2 * m2 / d2),
-    )
     if diagram is None:
         diagram = _chain_diagram(chain)
     diagnostics = {
         "splitting_parameters": [c1, c2],
         "denominators": [d1, d2, d3],
     }
-    return finish_result(
-        diagram, _sub_freq(diagram, freq), p, "chain-closed", residual, diagnostics
-    )
+    return finish_result(diagram, _sub_freq(diagram, freq), p, "chain-closed", diagnostics)
 
 
 def _unit_root(qa: int, qb: int, qc: int) -> float:
@@ -433,7 +405,7 @@ def solve_chain_k(
         p[chain.shared[0]] = (1 - c) * m1 / d1
         diagnostics = {"splitting_parameters": [float(c)]}
         return finish_result(
-            diagram, _sub_freq(diagram, freq), p, "chain-closed", 0.0, diagnostics
+            diagram, _sub_freq(diagram, freq), p, "chain-closed", diagnostics
         )
 
     from .numeric import solve_numeric
@@ -453,72 +425,97 @@ def solve_chain_k(
 def execute_plan(
     plan: DecompositionTree, freq: FrequencyTable, config=None
 ) -> MleResult:
-    """Dispatch a decomposition tree to the matching solvers and stitch
-    the pieces into one assignment over the plan's diagram.
+    """Dispatch a decomposition tree to the matching solvers, combine the
+    pieces into one assignment over the plan's diagram, and certify it
+    once, at the root.
 
     ``config`` (a SolverConfig, or None for its defaults) goes to every
     numeric solve: the numeric leaves and the chains of four or more
     operations.  Errors raised by a nested solver gain a ``node_path``
     attribute locating the failing node in the tree."""
-    return _execute(plan, freq, "root", config)
+    p, method, diagnostics = _execute(plan, freq, "root", config)
+    return finish_result(
+        plan.diagram,
+        _sub_freq(plan.diagram, freq),
+        p,
+        method,
+        diagnostics,
+        tol=_tolerance(plan, config),
+    )
+
+
+def _tolerance(plan: DecompositionTree, config) -> float:
+    """Feasibility tolerance for a plan's assignment.  Numeric results,
+    on numeric leaves and on chains of four or more operations, are only
+    as feasible as the solver's stopping rule."""
+    if any(
+        isinstance(leaf, NumericLeaf)
+        or (isinstance(leaf, Chain) and leaf.descriptor.m >= 4)
+        for leaf in plan_leaves(plan)
+    ):
+        return 1e-9 if config is None else max(1e-9, config.kkt_tolerance)
+    return 1e-10
 
 
 def _execute(
     plan: DecompositionTree, freq: FrequencyTable, path: str, config
-) -> MleResult:
+) -> tuple[dict[OutcomeId, Number], str, dict]:
+    """The assignment, route name and diagnostics of one plan node, all
+    new objects the caller may change.  Leaf solvers certify their own
+    results; composite nodes are feasible whenever their children are."""
     try:
+        if isinstance(plan, (HorizontalSum, Product)):
+            return _combine(plan, freq, path, config)
         if isinstance(plan, ClassicalLeaf):
-            return solve_classical(plan.diagram, _sub_freq(plan.diagram, freq))
-        if isinstance(plan, HorizontalSum):
-            for i, child in enumerate(plan.children):
-                if sum(freq[x] for x in child.diagram.outcomes) == 0:
-                    raise ZeroComponent(i)
-            children = [
-                _execute(
-                    child, _sub_freq(child.diagram, freq), f"{path}/sum[{i}]", config
-                )
-                for i, child in enumerate(plan.children)
-            ]
-            return _stitch(plan.diagram, freq, children, "horizontal")
-        if isinstance(plan, Product):
-            return _execute_product(plan, freq, path, config)
-        if isinstance(plan, Chain):
-            return solve_chain_k(
+            result = solve_classical(plan.diagram, _sub_freq(plan.diagram, freq))
+        elif isinstance(plan, Chain):
+            result = solve_chain_k(
                 plan.descriptor, freq, diagram=plan.diagram, config=config
             )
-        assert isinstance(plan, NumericLeaf)
-        from .numeric import solve_numeric
+        else:
+            assert isinstance(plan, NumericLeaf)
+            from .numeric import solve_numeric
 
-        return solve_numeric(plan.diagram, freq, config)
+            result = solve_numeric(plan.diagram, freq, config)
+        return result.p, result.method, result.diagnostics
     except Exception as exc:
         if not hasattr(exc, "node_path"):
             exc.node_path = path
         raise
 
 
-def _execute_product(
-    plan: Product, freq: FrequencyTable, path: str, config
-) -> MleResult:
-    totals = [sum(freq[x] for x in f.diagram.outcomes) for f in plan.factors]
-    for i, t in enumerate(totals):
-        if t == 0:
-            raise ZeroFactor(i)
+def _combine(
+    plan: Union[HorizontalSum, Product], freq: FrequencyTable, path: str, config
+) -> tuple[dict[OutcomeId, Number], str, dict]:
+    """A sum is the union of its children's assignments; a product
+    scales each factor's assignment by the factor's share of the total
+    count.  Every total is checked before any child runs.  A product
+    operation sums to sum_i w_i (factor i's operation sum) with
+    sum_i w_i = 1, so no check is needed here beyond the children's."""
+    is_sum = isinstance(plan, HorizontalSum)
+    children = plan.children if is_sum else plan.factors
+    label = "sum" if is_sum else "product"
+    totals = [sum(freq[x] for x in child.diagram.outcomes) for child in children]
+    for i, total in enumerate(totals):
+        if total == 0:
+            raise ZeroComponent(i) if is_sum else ZeroFactor(i)
     grand = sum(totals)
-    weights = [Fraction(t, grand) for t in totals]
-    children = [
-        _execute(f, _sub_freq(f.diagram, freq), f"{path}/product[{i}]", config)
-        for i, f in enumerate(plan.factors)
-    ]
+    weights = [Fraction(total, grand) for total in totals]
     p: dict[OutcomeId, Number] = {}
-    for w, child in zip(weights, children):
-        for x, q in child.p.items():
-            p[x] = w * q
-    diagnostics = {"weights": [float(w) for w in weights]}
-    _merge_child_diagnostics(diagnostics, children)
-    residual = max((c.residual for c in children), default=0.0)
-    return finish_result(
-        plan.diagram, _sub_freq(plan.diagram, freq), p, "product", residual, diagnostics
-    )
+    split: list[float] = []
+    methods: list[str] = []
+    for i, (child, w) in enumerate(zip(children, weights)):
+        q, method, diagnostics = _execute(
+            child, _sub_freq(child.diagram, freq), f"{path}/{label}[{i}]", config
+        )
+        p.update(q if is_sum else {x: w * v for x, v in q.items()})
+        split.extend(diagnostics.get("splitting_parameters", []))
+        methods.append(method)
+    combined: dict = {} if is_sum else {"weights": [float(w) for w in weights]}
+    if split:
+        combined["splitting_parameters"] = split
+    combined["child_methods"] = methods
+    return p, "horizontal" if is_sum else "product", combined
 
 
 # ------------------------------------------------------------------ estimate
@@ -538,48 +535,29 @@ def estimate(
     rejects plans containing a numeric leaf (NoClosedForm), and
     "numeric" forces the general solver on the whole reduced diagram.
     ``config`` (a SolverConfig) sets the stopping rules of every numeric
-    solve on each route.  Reduction that empties an operation makes the
-    remaining constraints unsatisfiable as stated and raises
-    InfeasibleReduction; an assignment that misses the constraints
-    raises InfeasibleEstimate."""
+    solve on each route.  The result is certified once, on ``diagram``.
+    Reduction that empties an operation makes the remaining constraints
+    unsatisfiable as stated and raises InfeasibleReduction; an
+    assignment that misses the constraints raises InfeasibleEstimate."""
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    check_frequencies(diagram, freq)
     reduction = reduce_zero_counts(diagram, freq)
     if reduction.dropped_operations:
         raise InfeasibleReduction(reduction.dropped_operations)
 
     plan = build_plan(reduction.diagram)
     verdict = plan_verdict(plan)
-    leaves = list(plan_leaves(plan))
-    if method == "numeric":
-        from .numeric import solve_numeric
-
-        inner = solve_numeric(reduction.diagram, reduction.freq, config)
-    else:
-        if method == "closed" and verdict == "numeric-only":
-            culprit = next(leaf for leaf in leaves if isinstance(leaf, NumericLeaf))
-            raise NoClosedForm(culprit.diagram.outcomes)
-        inner = execute_plan(plan, reduction.freq, config)
-
-    p: dict[OutcomeId, Number] = dict(inner.p)
+    if method == "closed" and verdict == "numeric-only":
+        culprit = next(leaf for leaf in plan_leaves(plan) if isinstance(leaf, NumericLeaf))
+        raise NoClosedForm(culprit.diagram.outcomes)
+    run = NumericLeaf(reduction.diagram) if method == "numeric" else plan
+    p, route, diagnostics = _execute(run, reduction.freq, "root", config)
     for x in reduction.zeroed:
         p[x] = Fraction(0)
-    diagnostics = dict(inner.diagnostics)
     diagnostics["tree"] = plan_summary(plan)
     diagnostics["verdict"] = verdict
     if reduction.zeroed:
         diagnostics["zeroed"] = sorted(reduction.zeroed)
-    # Numeric results, on numeric leaves and on chains of four or more
-    # operations, are only as feasible as the solver's stopping rule.
-    if method == "numeric" or any(
-        isinstance(leaf, NumericLeaf)
-        or (isinstance(leaf, Chain) and leaf.descriptor.m >= 4)
-        for leaf in leaves
-    ):
-        tol = 1e-9
-        if config is not None:
-            tol = max(tol, float(config.kkt_tolerance))
-    else:
-        tol = 1e-10
-    return finish_result(diagram, freq, p, inner.method, inner.residual, diagnostics, tol=tol)
+    return finish_result(
+        diagram, freq, p, route, diagnostics, tol=_tolerance(run, config)
+    )

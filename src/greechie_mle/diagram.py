@@ -430,7 +430,7 @@ def check_probability(
     single-outcome operation puts p at 1 exactly up to the solver's
     inner tolerance); exact rational inputs are unaffected in practice
     because the closed forms keep them inside the box."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if set(p) != set(diagram.outcomes):
         return False

@@ -29,6 +29,7 @@ their sums sigma(x) must stay positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -60,15 +61,16 @@ _RIDGE = 1e-14
 class SolverConfig:
     """Stopping rules for the dual Newton iteration.
 
-    kkt_tolerance bounds the final KKT residual; max_sweeps caps the
+    kkt_tolerance (positive and finite) bounds the certificate of the
+    returned point, its worst constraint gap; max_sweeps caps the
     number of Newton iterations."""
 
     kkt_tolerance: float = 1e-10
     max_sweeps: int = 200
 
     def __post_init__(self) -> None:
-        if self.kkt_tolerance <= 0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise ValueError("kkt_tolerance must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -83,11 +85,11 @@ def solve_numeric(
     Requires positive counts (apply zero-count reduction first).  Starts
     from lambda_B = n(B) and stops once the largest operation-sum gap is
     below 1e-13, or below kkt_tolerance and no longer falling.  The
-    residual is the larger of that gap and the stationarity mismatch
-    max |p(x) sigma(x) / n(x) - 1| of the solver's own multipliers.
-    Raises NonConvergence with the last gap when max_sweeps iterations
-    run out, or when the line search finds no decrease above the
-    tolerance."""
+    point p = n / sigma is stationary for the returned multipliers
+    (``diagnostics["multipliers"]``) by construction, so its certificate
+    is its worst constraint gap, measured by finish_result.  Raises
+    NonConvergence with the last gap when max_sweeps iterations run out,
+    or when the line search finds no decrease above the tolerance."""
     config = config or SolverConfig()
     idx = diagram.outcome_index
     m = len(diagram.operations)
@@ -153,7 +155,6 @@ def solve_numeric(
         prev_gap = gap
 
     p_map = {x: float(p[i]) for x, i in idx.items()}
-    stationarity = float(np.abs(p * sigma / counts - 1.0).max())
     diagnostics = {
         "sweeps": iterations,
         "multipliers": lam.tolist(),
@@ -161,13 +162,7 @@ def solve_numeric(
         "sweep_loglik": sweep_loglik,
     }
     return finish_result(
-        diagram,
-        freq,
-        p_map,
-        "numeric",
-        max(stationarity, gap),
-        diagnostics,
-        tol=config.kkt_tolerance,
+        diagram, freq, p_map, "numeric", diagnostics, tol=config.kkt_tolerance
     )
 
 

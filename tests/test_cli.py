@@ -183,6 +183,20 @@ class TestEstimate:
         assert code == 4
         assert "infeasible assignment via chain-closed" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", str(FIXTURES / "tennis.json"), "--tol", tol])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_self_check_reuses_the_verdict(self, capsys, monkeypatch):
+        plans = count_calls(monkeypatch, cli, "build_plan")
+        reductions = count_calls(monkeypatch, cli, "reduce_zero_counts")
+        code, _, _ = run(capsys, "estimate", FIXTURES / "tennis.json", "--self-check")
+        assert code == 0
+        assert plans == [] and reductions == []
+
     def test_one_cycle_search(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, diagram, "minimum_cycle_length")
         code, doc, _ = run_json(capsys, "estimate", FIXTURES / "four_cycle_unit.json")

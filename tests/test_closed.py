@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greechie_mle import (
+    closed_form,
+    numeric,
     BlockStats,
     EstimationError,
     InfeasibleEstimate,
@@ -40,6 +42,8 @@ from greechie_mle import (
     solve_numeric,
     solve_product,
 )
+
+from tests.conftest import count_calls, random_counts
 
 counts_strategy = st.integers(min_value=1, max_value=1000)
 
@@ -384,7 +388,7 @@ class TestFinishResult:
         freq = {"a": 10, "c": 30, "e": 40, "b": 20, "d": 40}
         p = {"a": 0.2, "c": 0.5, "e": 0.2, "b": 0.3, "d": 0.5}  # a + c + e = 0.9
         with pytest.raises(InfeasibleEstimate) as info:
-            finish_result(d, freq, p, "product", 0.0)
+            finish_result(d, freq, p, "product")
         assert isinstance(info.value, EstimationError)
         assert info.value.route == "product"
         assert info.value.gap == pytest.approx(0.1)
@@ -393,8 +397,60 @@ class TestFinishResult:
     def test_out_of_range_probability_rejected(self):
         d = build_diagram(["a", "b"], [["a", "b"]])
         with pytest.raises(InfeasibleEstimate) as info:
-            finish_result(d, {"a": 1, "b": 1}, {"a": 1.5, "b": -0.5}, "classical", 0.0)
+            finish_result(d, {"a": 1, "b": 1}, {"a": 1.5, "b": -0.5}, "classical")
         assert info.value.gap == pytest.approx(0.5)
+
+    def test_assignment_must_cover_the_outcomes(self):
+        d = build_diagram(["a", "b"], [["a", "b"]])
+        with pytest.raises(ValueError):
+            finish_result(d, {"a": 1, "b": 1}, {"a": 0.5, "b": 0.5, "z": 0.0}, "classical")
+
+    def test_nan_probability_rejected(self):
+        # The NaN sits in the second operation, after a gap of 0.0.
+        d = shapes.disjoint_pairs()
+        p = {"a": 0.5, "b": 0.5, "c": math.nan, "d": 0.5}
+        with pytest.raises(InfeasibleEstimate) as info:
+            finish_result(d, {x: 1 for x in d.outcomes}, p, "numeric")
+        assert math.isnan(info.value.gap)
+
+
+def _worst_gap(d, p):
+    sums = [abs(float(sum(p[x] for x in op)) - 1.0) for op in d.operations]
+    box = [max(-float(v), float(v) - 1.0, 0.0) for v in p.values()]
+    return max(sums + box)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", sorted(shapes.all_shapes()))
+    def test_residual_is_worst_gap(self, name, rng):
+        d = shapes.all_shapes()[name]
+        for freq in ({x: 1 for x in d.outcomes}, random_counts(d, rng)):
+            auto = estimate(d, freq)
+            routes = ["auto", "numeric"]
+            if auto.diagnostics["verdict"] != "numeric-only":
+                routes.append("closed")
+            for method in routes:
+                r = estimate(d, freq, method=method)
+                assert r.residual == _worst_gap(d, r.p), (method, freq)
+                if name in ("tennis", "disjoint_pairs") and method != "numeric":
+                    assert r.residual == 0.0
+
+    @pytest.mark.parametrize(
+        "name, checks",
+        [
+            ("tennis", 4),  # three classical leaves and the root
+            ("disjoint_pairs", 3),
+            ("path3", 2),  # one leaf and the root
+            ("path4", 2),
+            ("four_cycle", 2),
+        ],
+    )
+    def test_one_check_per_leaf_and_root(self, monkeypatch, name, checks):
+        d = shapes.all_shapes()[name]
+        closed_calls = count_calls(monkeypatch, closed_form, "finish_result")
+        numeric_calls = count_calls(monkeypatch, numeric, "finish_result")
+        estimate(d, {x: 3 for x in d.outcomes})
+        assert len(closed_calls) + len(numeric_calls) == checks
 
 
 class TestResultTypes:

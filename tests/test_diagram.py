@@ -234,3 +234,9 @@ class TestLikelihoodHelpers:
         # tolerance applies to the range too.
         assert check_probability(d, {"a": 1.0 + 1e-12}, tol=1e-9)
         assert not check_probability(d, {"a": 1.0 + 1e-6}, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_check_probability_rejects_bad_tolerance(self, tol):
+        d = build_diagram(["a", "b"], [["a", "b"]])
+        with pytest.raises(ValueError):
+            check_probability(d, {"a": 0.5, "b": 0.5}, tol=tol)

@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            SolverConfig(kkt_tolerance=tol)
+
 
 class TestSolveNumeric:
     def test_requires_positive_counts(self):
