@@ -32,19 +32,13 @@ from .closed_form import estimate
 from .decompose import build_plan, plan_summary, plan_verdict
 from .diagram import (
     GreechieDiagram,
-    _check_g2_both,
+    Violation,
     build_diagram,
-    check_g1,
     log_likelihood,
     reduce_zero_counts,
+    validate_diagram,
 )
-from .errors import (
-    DiagramError,
-    EstimationError,
-    GreechieError,
-    IntersectionTooLarge,
-    NoClosedForm,
-)
+from .errors import DiagramError, EstimationError, GreechieError, NoClosedForm
 from .numeric import SolverConfig
 from .oracle import OracleBudget, brute_force_mle
 from .sampler import OperationPolicy, sample_outcomes
@@ -156,18 +150,25 @@ def _probability_strings(p: dict) -> tuple[dict, dict]:
     return decimal, exact
 
 
+def _rules(diagram: GreechieDiagram) -> dict[str, list[Violation]]:
+    """Violations of one validate_diagram report, grouped by rule."""
+    rules: dict[str, list[Violation]] = {
+        rule: [] for rule in ("COVERING", "G1", "G2-OMP", "G2-OML", "INTERSECTION")
+    }
+    for v in validate_diagram(diagram).violations:
+        rules[v.rule].append(v)
+    return rules
+
+
 def _validation_summary(diagram: GreechieDiagram) -> dict:
-    summary: dict = {"g1": check_g1(diagram).passed}
-    try:
-        g2_omp, g2_oml = _check_g2_both(diagram)
-        summary["g2_omp"] = g2_omp.passed
-        summary["g2_oml"] = g2_oml.passed
-        summary["intersection"] = True
-    except IntersectionTooLarge:
-        summary["g2_omp"] = None
-        summary["g2_oml"] = None
-        summary["intersection"] = False
-    return summary
+    rules = _rules(diagram)
+    intersection = not rules["INTERSECTION"]
+    return {
+        "g1": not rules["G1"],
+        "g2_omp": not rules["G2-OMP"] if intersection else None,
+        "g2_oml": not rules["G2-OML"] if intersection else None,
+        "intersection": intersection,
+    }
 
 
 def _render_tree(node: dict, indent: int = 0) -> list[str]:
@@ -198,41 +199,27 @@ def _render_tree(node: dict, indent: int = 0) -> list[str]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     doc, _ = _load_document(args.file)
     diagram = _build_diagram(doc)
-    g1 = check_g1(diagram)
-    intersection_ok = True
-    g2_omp = g2_oml = None
-    try:
-        g2_omp, g2_oml = _check_g2_both(diagram)
-    except IntersectionTooLarge as exc:
-        intersection_ok = False
-        intersection_msg = str(exc)
+    rules = _rules(diagram)
+    intersection_ok = not rules["INTERSECTION"]
 
-    def verdict(report) -> str:
-        return "pass" if report is not None and report.passed else "fail"
-
-    lines = [f"G1: {verdict(g1)}"]
-    for v in g1.violations:
-        lines.append(f"  {v.message}")
+    lines = _rule_lines("G1", rules["G1"])
     if intersection_ok:
-        lines.append(f"G2-OMP: {verdict(g2_omp)}")
-        for v in g2_omp.violations:
-            lines.append(f"  {v.message}")
-        lines.append(f"G2-OML: {verdict(g2_oml)}")
-        for v in g2_oml.violations:
-            lines.append(f"  {v.message}")
+        lines += _rule_lines("G2-OMP", rules["G2-OMP"])
+        lines += _rule_lines("G2-OML", rules["G2-OML"])
         lines.append("intersection precondition: pass")
     else:
         lines.append("G2-OMP: not applicable")
         lines.append("G2-OML: not applicable")
-        lines.append(f"intersection precondition: fail ({intersection_msg})")
+        message = rules["INTERSECTION"][0].message
+        lines.append(f"intersection precondition: fail ({message})")
 
-    ok = g1.passed and intersection_ok and g2_omp is not None and g2_omp.passed
+    ok = not rules["G1"] and intersection_ok and not rules["G2-OMP"]
     lines.append(f"overall: {'valid' if ok else 'invalid'}")
 
     document = {
-        "g1": _report_json(g1),
-        "g2_omp": _report_json(g2_omp) if intersection_ok else None,
-        "g2_oml": _report_json(g2_oml) if intersection_ok else None,
+        "g1": _report_json(rules["G1"]),
+        "g2_omp": _report_json(rules["G2-OMP"]) if intersection_ok else None,
+        "g2_oml": _report_json(rules["G2-OML"]) if intersection_ok else None,
         "intersection": intersection_ok,
         "valid": ok,
     }
@@ -240,12 +227,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def _report_json(report) -> dict:
+def _rule_lines(rule: str, violations: list[Violation]) -> list[str]:
+    return [f"{rule}: {'fail' if violations else 'pass'}"] + [
+        f"  {v.message}" for v in violations
+    ]
+
+
+def _report_json(violations: list[Violation]) -> dict:
     return {
-        "passed": report.passed,
+        "passed": not violations,
         "violations": [
             {"rule": v.rule, "witness": repr(v.witness), "message": v.message}
-            for v in report.violations
+            for v in violations
         ],
     }
 

@@ -75,7 +75,8 @@ def connected_components(diagram: GreechieDiagram) -> list[GreechieDiagram]:
     Every operation lies entirely inside one component, so each
     component is returned with its induced operation list.  Components
     are ordered by their earliest outcome; outcome and operation order
-    inside each component follows the parent declaration order.
+    inside each component follows the parent declaration order.  A
+    connected diagram is returned as the one component.
     """
     labels: dict[OutcomeId, int] = {}
     next_label = 0
@@ -92,14 +93,19 @@ def connected_components(diagram: GreechieDiagram) -> list[GreechieDiagram]:
                         labels[z] = next_label
                         stack.append(z)
         next_label += 1
+    if next_label == 1:
+        return [diagram]
 
-    components: list[GreechieDiagram] = []
-    for lab in range(next_label):
-        outcomes = tuple(x for x in diagram.outcomes if labels[x] == lab)
-        member = set(outcomes)
-        ops = tuple(op for op in diagram.operations if op[0] in member)
-        components.append(GreechieDiagram(outcomes=outcomes, operations=ops))
-    return components
+    outcomes: list[list[OutcomeId]] = [[] for _ in range(next_label)]
+    for x in diagram.outcomes:
+        outcomes[labels[x]].append(x)
+    ops: list[list[Operation]] = [[] for _ in range(next_label)]
+    for op in diagram.operations:
+        ops[labels[op[0]]].append(op)
+    return [
+        GreechieDiagram(outcomes=tuple(xs), operations=tuple(os))
+        for xs, os in zip(outcomes, ops)
+    ]
 
 
 def _coexistence(diagram: GreechieDiagram) -> list[set[int]]:
@@ -115,25 +121,28 @@ def _coexistence(diagram: GreechieDiagram) -> list[set[int]]:
 
 def _non_coexistence_parts(diagram: GreechieDiagram) -> list[list[int]]:
     """Connected components of the graph joining outcomes that never
-    appear together in any operation."""
+    appear together in any operation.
+
+    The graph is the complement of the coexistence graph, so each step
+    splits the outcomes not yet reached into those coexisting with the
+    current one (kept for later) and the rest (reached now), for
+    O(n + sum of |coex|) work in all."""
     n = len(diagram.outcomes)
     coex = _coexistence(diagram)
-    label = [-1] * n
+    unreached = set(range(n))
     parts: list[list[int]] = []
     for start in range(n):
-        if label[start] >= 0:
+        if start not in unreached:
             continue
-        lab = len(parts)
-        label[start] = lab
+        unreached.discard(start)
         bucket = [start]
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in range(n):
-                if label[v] < 0 and v not in coex[u]:
-                    label[v] = lab
-                    bucket.append(v)
-                    stack.append(v)
+            found = unreached - coex[u]
+            unreached &= coex[u]
+            bucket.extend(found)
+            stack.extend(found)
         parts.append(sorted(bucket))
     return parts
 
@@ -255,26 +264,27 @@ def detect_chain(diagram: GreechieDiagram) -> Optional[ChainDescriptor]:
 
     Requirements: the operation-intersection graph is a simple path,
     and consecutive operations share exactly one outcome.  Any pair
-    sharing two or more outcomes disqualifies the diagram, and a
-    repeated shared outcome would join non-consecutive operations,
-    breaking the path shape, so the descriptor invariants follow.
+    sharing two or more outcomes disqualifies the diagram, and so does
+    an outcome in three operations (they would form a triangle), so each
+    shared outcome joins exactly one consecutive pair and the descriptor
+    invariants follow.  The graph is built from each outcome's list of
+    operations, in time linear in the incidences.
     """
     m = len(diagram.operations)
     if m < 2:
         return None
-    sets = diagram.edge_sets
     adj: list[list[int]] = [[] for _ in range(m)]
     shared_at: dict[tuple[int, int], OutcomeId] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            common = sets[i] & sets[j]
-            if len(common) > 1:
-                return None
-            if common:
-                adj[i].append(j)
-                adj[j].append(i)
-                (y,) = common
-                shared_at[(i, j)] = y
+    for y, js in diagram.edges_of.items():
+        if len(js) > 2:
+            return None  # three operations through y: a triangle, not a path
+        if len(js) == 2:
+            if js in shared_at:
+                return None  # the pair shares two outcomes
+            i, j = js
+            adj[i].append(j)
+            adj[j].append(i)
+            shared_at[js] = y
 
     degrees = [len(a) for a in adj]
     if any(d > 2 for d in degrees) or degrees.count(1) != 2:
@@ -295,8 +305,6 @@ def detect_chain(diagram: GreechieDiagram) -> Optional[ChainDescriptor]:
     shared = tuple(
         shared_at[(min(a, b), max(a, b))] for a, b in zip(order, order[1:])
     )
-    if len(set(shared)) != len(shared):
-        return None
     shared_set = set(shared)
     edges = tuple(diagram.operations[i] for i in order)
     interiors = tuple(

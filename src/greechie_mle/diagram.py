@@ -14,7 +14,6 @@ Everything here is immutable and purely functional.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,7 +90,7 @@ def build_diagram(
         seen.add(x)
 
     operations: list[Operation] = []
-    edge_sets: list[frozenset[OutcomeId]] = []
+    edge_sets: set[frozenset[OutcomeId]] = set()
     for j, raw in enumerate(operation_list):
         op = tuple(raw)
         if not op:
@@ -106,7 +105,7 @@ def build_diagram(
         fs = frozenset(op)
         if fs in edge_sets:
             raise DuplicateEdge(op)
-        edge_sets.append(fs)
+        edge_sets.add(fs)
         operations.append(op)
 
     covered = set().union(*edge_sets) if edge_sets else set()
@@ -139,14 +138,19 @@ class ValidationReport:
 
 def check_g1(diagram: GreechieDiagram) -> ValidationReport:
     """Separation condition: every ordered pair of distinct operations
-    (B1, B2) must satisfy card(B1 minus B2) >= 2."""
+    (B1, B2) must satisfy card(B1 minus B2) >= 2.
+
+    B2 disjoint from B1 leaves B1 whole, so only a B1 of fewer than two
+    outcomes is checked against every operation; any other B1 only
+    against the operations it shares an outcome with."""
     violations: list[Violation] = []
     sets = diagram.edge_sets
     for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
+        others = range(len(sets)) if len(a) < 2 else sorted(_shared_counts(diagram, i))
+        for j in others:
             if i == j:
                 continue
-            diff = a - b
+            diff = a - sets[j]
             if len(diff) < 2:
                 violations.append(
                     Violation(
@@ -161,12 +165,24 @@ def check_g1(diagram: GreechieDiagram) -> ValidationReport:
     return ValidationReport.from_violations(violations)
 
 
+def _shared_counts(diagram: GreechieDiagram, i: int) -> dict[int, int]:
+    """Every other operation sharing an outcome with operation i, mapped
+    to the number of outcomes they share."""
+    counts: dict[int, int] = {}
+    for x in diagram.operations[i]:
+        for j in diagram.edges_of[x]:
+            if j != i:
+                counts[j] = counts.get(j, 0) + 1
+    return counts
+
+
 def _check_pairwise_intersections(diagram: GreechieDiagram) -> None:
-    sets = diagram.edge_sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if len(sets[i] & sets[j]) > 1:
-                raise IntersectionTooLarge(diagram.operations[i], diagram.operations[j])
+    """Raise IntersectionTooLarge on the first pair (in index order) of
+    operations sharing more than one outcome."""
+    for i, op in enumerate(diagram.operations):
+        later = [j for j, c in _shared_counts(diagram, i).items() if j > i and c > 1]
+        if later:
+            raise IntersectionTooLarge(op, diagram.operations[min(later)])
 
 
 def minimum_cycle_length(
@@ -181,33 +197,66 @@ def minimum_cycle_length(
     requires pairwise edge intersections of at most one outcome, which
     rules out bipartite 4-cycles, so the correspondence is exact.
 
+    Every cycle lies in the 2-core of the incidence graph, what is left
+    after repeatedly removing nodes of degree at most one, so chains and
+    trees return after a linear peel.  Inside a core component that has
+    a branch node (core degree >= 3) every cycle passes through one,
+    because a cycle made only of degree-2 nodes is a whole component.
+    Breadth-first searches therefore start only at branch nodes and at
+    one node of each core component that is a simple cycle, and each
+    stops at depth best/2 once a cycle of length best is known.
+
     Returns (length, witness) where the witness alternates outcome ids
-    and operation indices around the cycle.
+    and operation indices around *one* shortest cycle, starting at an
+    outcome.  Which shortest cycle is named is deterministic but not
+    otherwise specified.
     """
     _check_pairwise_intersections(diagram)
 
     n = len(diagram.outcomes)
-    m = len(diagram.operations)
+    size = n + len(diagram.operations)
     # Bipartite incidence graph: nodes 0..n-1 outcomes, n..n+m-1 operations.
-    adj: list[list[int]] = [[] for _ in range(n + m)]
+    adj: list[list[int]] = [[] for _ in range(size)]
     for j, op in enumerate(diagram.operations):
         for x in op:
             i = diagram.outcome_index[x]
             adj[i].append(n + j)
             adj[n + j].append(i)
 
+    # Peel to the 2-core; degree[u] ends as the core degree of core nodes.
+    degree = [len(a) for a in adj]
+    in_core = [d > 1 for d in degree]
+    stack = [u for u in range(size) if not in_core[u]]
+    while stack:
+        for v in adj[stack.pop()]:
+            if in_core[v]:
+                degree[v] -= 1
+                if degree[v] < 2:
+                    in_core[v] = False
+                    stack.append(v)
+    core_adj = [
+        [v for v in adj[u] if in_core[v]] if in_core[u] else [] for u in range(size)
+    ]
+
+    roots = [u for u in range(size) if in_core[u] and degree[u] > 2]
+    reached = [not c for c in in_core]
+    _flood(core_adj, roots, reached)
+    for u in range(size):
+        if not reached[u]:  # a core component without branch nodes: a simple cycle
+            roots.append(u)
+            _flood(core_adj, [u], reached)
+
     best_len: Optional[int] = None
     best_cycle: Optional[list[int]] = None
-    for root in range(n + m):
-        dist = [-1] * (n + m)
-        parent = [-1] * (n + m)
+    dist = [-1] * size
+    parent = [-1] * size
+    for root in roots:
         dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]  # also the nodes to reset after this search
+        for u in queue:
             if best_len is not None and 2 * dist[u] >= best_len:
                 break
-            for v in adj[u]:
+            for v in core_adj[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     parent[v] = u
@@ -218,6 +267,8 @@ def minimum_cycle_length(
                     if best_len is None or length < best_len:
                         best_len = length
                         best_cycle = _closure_cycle(parent, u, v)
+        for u in queue:
+            dist[u] = parent[u] = -1
     if best_len is None:
         return None, None
 
@@ -229,6 +280,18 @@ def minimum_cycle_length(
         diagram.outcomes[node] if node < n else node - n for node in cycle
     )
     return best_len // 2, witness
+
+
+def _flood(adj: list[list[int]], starts: list[int], reached: list[bool]) -> None:
+    """Mark every node reachable from starts in reached."""
+    stack = [u for u in starts if not reached[u]]
+    for u in stack:
+        reached[u] = True
+    while stack:
+        for v in adj[stack.pop()]:
+            if not reached[v]:
+                reached[v] = True
+                stack.append(v)
 
 
 def _closure_cycle(parent: list[int], u: int, v: int) -> list[int]:
@@ -376,7 +439,7 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
 
     outcomes = tuple(x for x in diagram.outcomes if x not in zeroed)
     kept_ops: list[Operation] = []
-    kept_sets: list[frozenset[OutcomeId]] = []
+    kept_sets: set[frozenset[OutcomeId]] = set()
     dropped: list[Operation] = []
     collapsed: list[Operation] = []
     for op in diagram.operations:
@@ -388,7 +451,7 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
         if fs in kept_sets:
             collapsed.append(op)
             continue
-        kept_sets.append(fs)
+        kept_sets.add(fs)
         kept_ops.append(trimmed)
 
     reduced = GreechieDiagram(outcomes=outcomes, operations=tuple(kept_ops))

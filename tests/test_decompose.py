@@ -1,11 +1,16 @@
 """Plan construction: components, product factoring, chain detection."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from greechie_mle import (
     Chain,
+    ChainDescriptor,
     ClassicalLeaf,
+    GreechieDiagram,
     HorizontalSum,
     NumericLeaf,
     Product,
@@ -18,6 +23,90 @@ from greechie_mle import (
     plan_verdict,
     shapes,
 )
+from greechie_mle.decompose import _non_coexistence_parts
+from tests.conftest import LINEAR_KINDS, random_diagram, random_linear_diagram
+
+
+def rescan_components(d):
+    """connected_components with one scan of every outcome and operation
+    per component: the reference for the one-pass grouping."""
+    labels = {}
+    count = 0
+    for x in d.outcomes:
+        if x in labels:
+            continue
+        labels[x] = count
+        stack = [x]
+        while stack:
+            for j in d.edges_of[stack.pop()]:
+                for z in d.operations[j]:
+                    if z not in labels:
+                        labels[z] = count
+                        stack.append(z)
+        count += 1
+    components = []
+    for lab in range(count):
+        outcomes = tuple(x for x in d.outcomes if labels[x] == lab)
+        ops = tuple(op for op in d.operations if labels[op[0]] == lab)
+        components.append(GreechieDiagram(outcomes=outcomes, operations=ops))
+    return components
+
+
+def all_pairs_chain(d):
+    """detect_chain with the intersection graph built from every pair of
+    operations: the quadratic reference."""
+    m = len(d.operations)
+    if m < 2:
+        return None
+    adj = [[] for _ in range(m)]
+    shared_at = {}
+    for i, j in itertools.combinations(range(m), 2):
+        common = d.edge_sets[i] & d.edge_sets[j]
+        if len(common) > 1:
+            return None
+        if common:
+            adj[i].append(j)
+            adj[j].append(i)
+            (shared_at[(i, j)],) = common
+    degrees = [len(a) for a in adj]
+    if any(k > 2 for k in degrees) or degrees.count(1) != 2:
+        return None
+    order = [degrees.index(1)]
+    while len(order) < m:
+        nxt = [j for j in adj[order[-1]] if j not in order]
+        if len(nxt) != 1:
+            return None
+        order.append(nxt[0])
+    shared = tuple(shared_at[tuple(sorted(p))] for p in zip(order, order[1:]))
+    if len(set(shared)) != len(shared):
+        return None
+    edges = tuple(d.operations[i] for i in order)
+    interiors = tuple(tuple(x for x in e if x not in shared) for e in edges)
+    return ChainDescriptor(edges=edges, shared=shared, interiors=interiors)
+
+
+def all_pairs_non_coexistence_parts(d):
+    """Components of the non-coexistence graph from every outcome pair."""
+    n = len(d.outcomes)
+    label = list(range(n))
+    together = {
+        frozenset(d.outcome_index[x] for x in pair)
+        for op in d.operations
+        for pair in itertools.combinations(op, 2)
+    }
+
+    def find(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    for a, b in itertools.combinations(range(n), 2):
+        if frozenset((a, b)) not in together:
+            label[find(b)] = find(a)
+    parts = {}
+    for a in range(n):
+        parts.setdefault(find(a), []).append(a)
+    return sorted(parts.values())
 
 
 def parity_diagram():
@@ -45,6 +134,53 @@ class TestComponents:
         assert [c.outcomes for c in comps] == [("a", "b", "c"), ("p", "q")]
         assert comps[0].operations == (("a", "b"), ("b", "c"))
         assert comps[1].operations == (("p", "q"),)
+
+
+    def test_many_components_match_rescan(self):
+        rng = random.Random("components")
+        pieces = [shapes.disjoint_pairs() for _ in range(3)]
+        pieces += [random_linear_diagram(rng, "disconnected") for _ in range(40)]
+        outcomes = []
+        operations = []
+        for k, piece in enumerate(pieces):
+            outcomes += [f"{k}.{x}" for x in piece.outcomes]
+            operations += [[f"{k}.{x}" for x in op] for op in piece.operations]
+        rng.shuffle(outcomes)
+        rng.shuffle(operations)
+        d = build_diagram(outcomes, operations)
+        reference = rescan_components(d)
+        assert len(reference) > 100
+        assert connected_components(d) == reference
+
+
+class TestAgainstQuadraticReferences:
+    """Planner steps built from the outcomes' operation lists give the
+    answers of the all-pairs algorithms they replaced."""
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for kind in LINEAR_KINDS:
+            for _ in range(100):
+                yield random_linear_diagram(rng, kind)
+        for _ in range(300):
+            yield random_diagram(rng)
+        yield from shapes.all_shapes().values()
+
+    def test_detect_chain(self):
+        chains = 0
+        for d in self.cases("chains"):
+            found = detect_chain(d)
+            assert found == all_pairs_chain(d), d
+            chains += found is not None
+        assert chains > 100
+
+    def test_non_coexistence_parts(self):
+        split = 0
+        for d in self.cases("parts"):
+            parts = _non_coexistence_parts(d)
+            assert parts == all_pairs_non_coexistence_parts(d), d
+            split += len(parts) > 1
+        assert split > 50
 
 
 class TestFactorProduct:

@@ -1,6 +1,9 @@
 """Structure validation, cycle detection, and zero-count reduction."""
 
+import itertools
 import math
+import random
+from collections import deque
 
 import pytest
 
@@ -23,8 +26,95 @@ from greechie_mle import (
     shapes,
     validate_diagram,
 )
-from greechie_mle import diagram
-from tests.conftest import count_calls
+from greechie_mle import Violation, diagram
+from tests.conftest import (
+    LINEAR_KINDS,
+    count_calls,
+    random_diagram,
+    random_linear_diagram,
+)
+
+
+def all_roots_cycle_length(d):
+    """Half the girth of the incidence graph by a breadth-first search
+    from every node: the quadratic search minimum_cycle_length replaced,
+    kept as the reference."""
+    n = len(d.outcomes)
+    size = n + len(d.operations)
+    adj = [[] for _ in range(size)]
+    for j, op in enumerate(d.operations):
+        for x in op:
+            adj[d.outcome_index[x]].append(n + j)
+            adj[n + j].append(d.outcome_index[x])
+    best = None
+    for root in range(size):
+        dist = [-1] * size
+        parent = [-1] * size
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    length = dist[u] + dist[v] + 1
+                    best = length if best is None else min(best, length)
+    return None if best is None else best // 2
+
+
+def assert_real_cycle(d, length, witness):
+    """The witness alternates distinct outcomes and distinct operations
+    around a closed cycle of the stated length."""
+    assert len(witness) == 2 * length
+    vertices = witness[0::2]
+    edges = witness[1::2]
+    assert all(isinstance(x, str) for x in vertices)
+    assert len(set(vertices)) == length
+    assert len(set(edges)) == length
+    for k in range(length):
+        members = set(d.operations[edges[k]])
+        assert vertices[k] in members
+        assert vertices[(k + 1) % length] in members
+
+
+def all_pairs_g1(d):
+    """check_g1 over every ordered pair of operations: the quadratic
+    reference."""
+    violations = []
+    for i, a in enumerate(d.edge_sets):
+        for j, b in enumerate(d.edge_sets):
+            if i != j and len(a - b) < 2:
+                violations.append(
+                    Violation(
+                        rule="G1",
+                        witness=(d.operations[i], d.operations[j]),
+                        message=(
+                            f"operation {set(d.operations[i])!r} minus "
+                            f"{set(d.operations[j])!r} leaves only {sorted(a - b)!r}"
+                        ),
+                    )
+                )
+    return violations
+
+
+def first_large_intersection(d):
+    """The first pair of operations, in index order, sharing more than
+    one outcome, or None."""
+    for i, j in itertools.combinations(range(len(d.operations)), 2):
+        if len(d.edge_sets[i] & d.edge_sets[j]) > 1:
+            return d.operations[i], d.operations[j]
+    return None
+
+
+def cycle_diagram(k):
+    """A ring of k operations {k_j, m_j, k_(j+1)}."""
+    outcomes = [x for j in range(k) for x in (f"k{j}", f"m{j}")]
+    return build_diagram(
+        outcomes, [[f"k{j}", f"m{j}", f"k{(j + 1) % k}"] for j in range(k)]
+    )
 
 
 class TestBuildDiagram:
@@ -94,17 +184,16 @@ class TestCycles:
         assert length == 4
 
     def test_witness_is_a_real_cycle(self):
-        d = shapes.triangle()
-        length, witness = minimum_cycle_length(d)
-        assert len(witness) == 2 * length
-        vertices = witness[0::2]
-        edges = witness[1::2]
-        assert len(set(vertices)) == length
-        assert len(set(edges)) == length
-        for k in range(length):
-            members = set(d.operations[edges[k]])
-            assert vertices[k] in members
-            assert vertices[(k + 1) % length] in members
+        rng = random.Random("witness")
+        cases = [shapes.triangle(), *shapes.all_shapes().values()]
+        cases += [random_linear_diagram(rng, "branched") for _ in range(20)]
+        cyclic = 0
+        for d in cases:
+            length, witness = minimum_cycle_length(d)
+            if length is not None:
+                assert_real_cycle(d, length, witness)
+                cyclic += 1
+        assert cyclic >= 22
 
     def test_intersection_precondition(self):
         d = build_diagram(["a", "b", "c", "x"], [["a", "b", "x"], ["a", "b", "c"]])
@@ -121,6 +210,64 @@ class TestCycles:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             check_g2(shapes.path3(), "omw")
+
+
+class TestAgainstQuadraticReferences:
+    """The checks that scale with the incidences give the answers of the
+    all-pairs and all-roots algorithms they replaced."""
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_cycle_length_and_witness(self, kind):
+        rng = random.Random(f"cycles/{kind}")
+        for _ in range(150):
+            d = random_linear_diagram(rng, kind)
+            length, witness = minimum_cycle_length(d)
+            assert length == all_roots_cycle_length(d), d
+            if length is None:
+                assert witness is None
+                assert kind in ("acyclic", "path", "disconnected")
+            else:
+                assert_real_cycle(d, length, witness)
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_g1_violations(self, kind):
+        rng = random.Random(f"g1/{kind}")
+        for _ in range(150):
+            d = random_linear_diagram(rng, kind)
+            assert list(check_g1(d).violations) == all_pairs_g1(d), d
+
+    def test_unrestricted_diagrams(self):
+        rng = random.Random("unrestricted")
+        raised = 0
+        for _ in range(400):
+            d = random_diagram(rng)
+            assert list(check_g1(d).violations) == all_pairs_g1(d), d
+            pair = first_large_intersection(d)
+            if pair is None:
+                assert minimum_cycle_length(d)[0] == all_roots_cycle_length(d), d
+                continue
+            raised += 1
+            with pytest.raises(IntersectionTooLarge) as info:
+                minimum_cycle_length(d)
+            assert (info.value.edge_a, info.value.edge_b) == pair, d
+        assert 50 < raised < 400
+
+
+class TestScale:
+    """Correctness on diagrams far beyond what a quadratic search could
+    finish in a test run; no time is measured."""
+
+    def test_long_cycle(self):
+        d = cycle_diagram(4096)
+        length, witness = minimum_cycle_length(d)
+        assert length == 4096
+        assert_real_cycle(d, length, witness)
+        assert validate_diagram(d).passed
+
+    def test_long_chain(self):
+        d = shapes.chain_path([2] * 4096)
+        assert minimum_cycle_length(d) == (None, None)
+        assert validate_diagram(d).passed
 
 
 class TestValidateDiagram:
