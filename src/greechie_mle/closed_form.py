@@ -4,11 +4,13 @@ The estimators here cover every structure recognized by the
 decomposition pass: single operations (the multinomial case, solved by
 the empirical distribution), horizontal sums (independent subproblems),
 products (operation weights times conditional factor solutions), and
-chains (splitting parameters satisfying a consistency system that is
-linear for two operations and quadratic for three; longer chains go to
-the numeric solver).  Rational inputs stay rational wherever the
-solution is a rational function of the counts; chain roots are
-algebraic irrationals and use floating point.
+chains of three operations (splitting parameters satisfying a
+consistency system that is quadratic; other chains go to the numeric
+solver).  Two operations sharing one outcome are solved as a product,
+so the linear two-operation chain needs no solver of its own.
+Rational inputs stay rational wherever the solution is a rational
+function of the counts; chain roots are algebraic irrationals and use
+floating point.
 
 ``estimate`` is the top-level entry point: it validates counts, applies
 zero-count reduction, builds a plan, dispatches it, re-inserts the
@@ -41,9 +43,9 @@ from .diagram import (
     GreechieDiagram,
     Operation,
     OutcomeId,
-    ProbabilityAssignment,
     log_likelihood,
     reduce_zero_counts,
+    worst_gap,
 )
 from .errors import (
     InfeasibleEstimate,
@@ -56,50 +58,6 @@ from .errors import (
 )
 
 Number = Union[Fraction, float]
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Count and probability mass of an outcome block, plus their ratio.
-
-    At the optimum the ratio n(x)/p(x) is constant across each classical
-    operation and across each chain interior block; this is the quantity
-    the tests check."""
-
-    block: frozenset[OutcomeId]
-    n_block: int
-    p_block: Number
-
-    @classmethod
-    def gather(
-        cls, block: Sequence[OutcomeId], freq: FrequencyTable, p: ProbabilityAssignment
-    ) -> "BlockStats":
-        members = frozenset(block)
-        return cls(
-            block=members,
-            n_block=sum(freq[x] for x in members),
-            p_block=sum((p[x] for x in members), start=Fraction(0)),
-        )
-
-    @property
-    def ratio(self) -> Number:
-        if self.p_block <= 0:
-            raise ZeroDivisionError("ratio undefined: block has no probability mass")
-        return self.n_block / self.p_block if isinstance(self.p_block, float) else Fraction(self.n_block) / self.p_block
-
-
-@dataclass(frozen=True)
-class SplittingParameters:
-    """One parameter per shared outcome of a chain: the fraction of the
-    shared count attributed to one of its two operations.  Strictly
-    interior at the optimum whenever all counts are positive."""
-
-    c: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for value in self.c:
-            if not 0 < value < 1:
-                raise ValueError(f"splitting parameter {value!r} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -133,7 +91,7 @@ def finish_result(
     tol (or NaN) raises InfeasibleEstimate."""
     if p.keys() != diagram.outcome_index.keys():
         raise ValueError("the assignment must cover exactly the diagram's outcomes")
-    gap = _worst_gap(diagram, p)
+    gap = worst_gap(diagram, p)
     if not gap <= tol:
         raise InfeasibleEstimate(method, gap, tol)
     return MleResult(
@@ -143,16 +101,6 @@ def finish_result(
         residual=gap,
         diagnostics=diagnostics or {},
     )
-
-
-def _worst_gap(diagram: GreechieDiagram, p: dict[OutcomeId, Number]) -> float:
-    """Largest distance of an operation sum from 1, or of a probability
-    from [0, 1]; NaN when some probability is NaN."""
-    values = [float(v) for v in p.values()]
-    if math.isnan(sum(values)):  # max() would skip a NaN
-        return math.nan
-    gaps = [abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations]
-    return max(gaps + [-min(values, default=0.0), max(values, default=0.0) - 1.0, 0.0])
 
 
 def _sub_freq(diagram: GreechieDiagram, freq: FrequencyTable) -> dict[OutcomeId, int]:
@@ -243,23 +191,6 @@ def solve_product(
 # --------------------------------------------------------------------- chains
 
 
-def _chain_counts(
-    chain: ChainDescriptor, freq: FrequencyTable
-) -> tuple[list[int], list[int]]:
-    """Interior block totals b_1..b_m and shared counts per parameter."""
-    for edge in chain.edges:
-        for x in edge:
-            if freq[x] <= 0:
-                raise ValueError(
-                    f"chain solvers require positive counts; {x!r} has {freq[x]}"
-                )
-    if not all(chain.interiors):
-        raise ValueError("chain solvers require a nonempty interior in every operation")
-    b = [sum(freq[x] for x in interior) for interior in chain.interiors]
-    mu = [freq[y] for y in chain.shared]
-    return b, mu
-
-
 def _chain_diagram(chain: ChainDescriptor) -> GreechieDiagram:
     outcomes: list[OutcomeId] = []
     seen: set[OutcomeId] = set()
@@ -297,7 +228,15 @@ def solve_chain2(
     in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2))."""
     if chain.m != 3:
         raise ValueError("solve_chain2 requires exactly three operations")
-    (b1, b2, b3), (m1, m2) = _chain_counts(chain, freq)
+    for x in itertools.chain.from_iterable(chain.edges):
+        if freq[x] <= 0:
+            raise ValueError(
+                f"chain solvers require positive counts; {x!r} has {freq[x]}"
+            )
+    if not all(chain.interiors):
+        raise ValueError("chain solvers require a nonempty interior in every operation")
+    b1, b2, b3 = (sum(freq[x] for x in interior) for interior in chain.interiors)
+    m1, m2 = (freq[y] for y in chain.shared)
 
     # Integer quadratic coefficients for c_2.
     qa = m2 * (b2 + m1 + b3)
@@ -305,7 +244,7 @@ def solve_chain2(
     qc = -b2 * (b1 + b2 + m1)
     c2 = _unit_root(qa, qb, qc)
     u2 = _unit_root(qa, -(2 * qa + qb), qa + qb + qc)
-    c1 = (b2 + c2 * m2) / (b1 + b2 + c2 * m2)
+    c1 = elimination_c1(b1, b2, m2, c2)
     u1 = b1 / (b1 + b2 + c2 * m2)
 
     d1 = b1 + u1 * m1
@@ -357,8 +296,8 @@ def _stable_quadratic_roots(qa: int, qb: int, qc: int) -> tuple[float, float]:
 
 def elimination_c1(b1: int, b2: int, m2: int, c2: Number) -> Number:
     """The c_1 that satisfies the first consistency equation for a given
-    c_2.  Exposed separately because the identity holds for any c_2, a
-    fact the tests verify in exact rational arithmetic."""
+    c_2.  solve_chain2 evaluates it at its root c_2; the identity holds
+    for any c_2, which the tests verify in exact rational arithmetic."""
     return (b2 + c2 * m2) / (b1 + b2 + c2 * m2)
 
 
@@ -369,7 +308,7 @@ def solve_chain_k(
     diagram: Optional[GreechieDiagram] = None,
     config=None,
 ) -> MleResult:
-    """Chain of m >= 2 operations with m-1 splitting parameters.
+    """Chain of m operations with m-1 splitting parameters.
 
     Parameter c_i splits the shared count n(y_i): c_i n(y_i) goes to the
     later operation A_{i+1} and (1-c_i) n(y_i) to A_i, giving
@@ -377,37 +316,19 @@ def solve_chain_k(
     the absent end terms dropped.  Probability consistency at each
     shared outcome requires (1-c_i)/D_i = c_i/D_{i+1}.
 
-    m = 2 is linear in c_1 and solved in exact rationals.  m = 3 is the
-    quadratic handled by solve_chain2.  For m >= 4 the chain's diagram
-    goes to the numeric solver with ``config`` (a SolverConfig, or None
-    for its defaults), under the method name "chain-iterative".  Its
-    multipliers are the denominators, D_j = lambda_j, so the splitting
-    parameters are c_i = lambda_{i+1} / (lambda_i + lambda_{i+1}).
-    Raises NonConvergence when the numeric solver does."""
+    m = 3 is the quadratic handled by solve_chain2.  Any other m goes to
+    the numeric solver with ``config`` (a SolverConfig, or None for its
+    defaults), under the method name "chain-iterative".  Its multipliers
+    are the denominators, D_j = lambda_j, so the splitting parameters
+    are c_i = lambda_{i+1} / (lambda_i + lambda_{i+1}).  The planner
+    emits no two-operation chain: two operations sharing one outcome y
+    factor as the product {y} x {I_1 | I_2} of their interiors.  Raises
+    ValueError on counts that are not positive, and NonConvergence when
+    the numeric solver does not converge."""
     if chain.m == 3:
         return solve_chain2(chain, freq, diagram=diagram)
-    b_int, mu_int = _chain_counts(chain, freq)
     if diagram is None:
         diagram = _chain_diagram(chain)
-
-    if chain.m == 2:
-        # (1-c)/D_1 = c/D_2 collapses to c = n(B_2)/(n(B_1)+n(B_2)).
-        b1, b2 = b_int
-        (m1,) = mu_int
-        c = Fraction(b2, b1 + b2)
-        d1 = b1 + (1 - c) * m1
-        d2 = b2 + c * m1
-        p: dict[OutcomeId, Number] = {}
-        for x in chain.interiors[0]:
-            p[x] = Fraction(freq[x]) / d1
-        for x in chain.interiors[1]:
-            p[x] = Fraction(freq[x]) / d2
-        p[chain.shared[0]] = (1 - c) * m1 / d1
-        diagnostics = {"splitting_parameters": [float(c)]}
-        return finish_result(
-            diagram, _sub_freq(diagram, freq), p, "chain-closed", diagnostics
-        )
-
     from .numeric import solve_numeric
 
     result = solve_numeric(diagram, _sub_freq(diagram, freq), config)
@@ -430,9 +351,9 @@ def execute_plan(
     once, at the root.
 
     ``config`` (a SolverConfig, or None for its defaults) goes to every
-    numeric solve: the numeric leaves and the chains of four or more
-    operations.  Errors raised by a nested solver gain a ``node_path``
-    attribute locating the failing node in the tree."""
+    numeric solve: the numeric leaves and the chains other than the
+    three-operation quadratic.  Errors raised by a nested solver gain a
+    ``node_path`` attribute locating the failing node in the tree."""
     p, method, diagnostics = _execute(plan, freq, "root", config)
     return finish_result(
         plan.diagram,
@@ -446,11 +367,11 @@ def execute_plan(
 
 def _tolerance(plan: DecompositionTree, config) -> float:
     """Feasibility tolerance for a plan's assignment.  Numeric results,
-    on numeric leaves and on chains of four or more operations, are only
-    as feasible as the solver's stopping rule."""
+    on numeric leaves and on chains other than the three-operation
+    quadratic, are only as feasible as the solver's stopping rule."""
     if any(
         isinstance(leaf, NumericLeaf)
-        or (isinstance(leaf, Chain) and leaf.descriptor.m >= 4)
+        or (isinstance(leaf, Chain) and leaf.descriptor.m != 3)
         for leaf in plan_leaves(plan)
     ):
         return 1e-9 if config is None else max(1e-9, config.kkt_tolerance)
@@ -529,7 +450,9 @@ def estimate(
 ) -> MleResult:
     """Full pipeline: validate counts, drop zero-count outcomes, solve
     the reduced problem, and re-insert the dropped outcomes with
-    probability zero (which is what maximizes the likelihood for them).
+    probability zero.  That maximizes the likelihood only when every
+    dropped outcome's multiplier sum stays nonnegative at the reduced
+    solution; reduce_zero_counts does not check this yet.
 
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and

@@ -28,6 +28,7 @@ from .errors import (
     IntersectionTooLarge,
     UncoveredOutcome,
     UnknownMember,
+    operation_text,
 )
 
 OutcomeId = str
@@ -125,15 +126,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self) -> None:
-        assert self.passed == (len(self.violations) == 0)
-
-    @staticmethod
-    def from_violations(violations: list[Violation]) -> "ValidationReport":
-        return ValidationReport(passed=not violations, violations=tuple(violations))
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def check_g1(diagram: GreechieDiagram) -> ValidationReport:
@@ -157,12 +154,13 @@ def check_g1(diagram: GreechieDiagram) -> ValidationReport:
                         rule="G1",
                         witness=(diagram.operations[i], diagram.operations[j]),
                         message=(
-                            f"operation {set(diagram.operations[i])!r} minus "
-                            f"{set(diagram.operations[j])!r} leaves only {sorted(diff)!r}"
+                            f"operation {operation_text(diagram.operations[i])} minus "
+                            f"{operation_text(diagram.operations[j])} "
+                            f"leaves only {sorted(diff)!r}"
                         ),
                     )
                 )
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(tuple(violations))
 
 
 def _shared_counts(diagram: GreechieDiagram, i: int) -> dict[int, int]:
@@ -324,15 +322,6 @@ def check_g2(diagram: GreechieDiagram, target: str = "omp") -> ValidationReport:
     return _g2_report(diagram, target, *minimum_cycle_length(diagram))
 
 
-def _check_g2_both(diagram: GreechieDiagram) -> tuple[ValidationReport, ValidationReport]:
-    """check_g2 for "omp" and for "oml" from a single cycle search."""
-    length, witness = minimum_cycle_length(diagram)
-    return (
-        _g2_report(diagram, "omp", length, witness),
-        _g2_report(diagram, "oml", length, witness),
-    )
-
-
 def _g2_report(
     diagram: GreechieDiagram,
     target: str,
@@ -341,21 +330,17 @@ def _g2_report(
 ) -> ValidationReport:
     required = 4 if target == "omp" else 5
     if length is None or length >= required:
-        return ValidationReport(passed=True)
-    assert witness is not None
+        return ValidationReport()
     pretty = " - ".join(
-        str(tok) if isinstance(tok, str) else "{" + ",".join(diagram.operations[tok]) + "}"
-        for tok in witness
+        tok if isinstance(tok, str) else operation_text(diagram.operations[tok])
+        for tok in witness or ()
     )
-    return ValidationReport.from_violations(
-        [
-            Violation(
-                rule=f"G2-{target.upper()}",
-                witness=(length, witness),
-                message=f"cycle of length {length} < {required}: {pretty}",
-            )
-        ]
+    violation = Violation(
+        rule=f"G2-{target.upper()}",
+        witness=(length, witness),
+        message=f"cycle of length {length} < {required}: {pretty}",
     )
+    return ValidationReport((violation,))
 
 
 def validate_diagram(diagram: GreechieDiagram) -> ValidationReport:
@@ -374,13 +359,15 @@ def validate_diagram(diagram: GreechieDiagram) -> ValidationReport:
             )
     violations.extend(check_g1(diagram).violations)
     try:
-        for report in _check_g2_both(diagram):
-            violations.extend(report.violations)
+        length, witness = minimum_cycle_length(diagram)
     except IntersectionTooLarge as exc:
         violations.append(
             Violation("INTERSECTION", (exc.edge_a, exc.edge_b), str(exc))
         )
-    return ValidationReport.from_violations(violations)
+    else:
+        for target in ("omp", "oml"):
+            violations.extend(_g2_report(diagram, target, length, witness).violations)
+    return ValidationReport(tuple(violations))
 
 
 def check_frequencies(diagram: GreechieDiagram, freq: FrequencyTable) -> None:
@@ -419,11 +406,13 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
     """Remove every outcome with a zero count from the vertex set and
     from every operation.
 
-    Assigning probability zero to an unobserved outcome can only raise
-    the mass available to observed ones, so the reduced problem has the
-    same maximizer with p = 0 re-inserted at the end.  The reduced
-    diagram may violate the separation condition; that is acceptable,
-    the solvers do not rely on it.  Idempotent.
+    The maximizer of the reduced problem, with p = 0 re-inserted for the
+    dropped outcomes, maximizes the original likelihood only when every
+    dropped outcome x keeps a nonnegative multiplier sum
+    sigma(x) = sum_{B containing x} lambda_B at the reduced solution
+    (its KKT condition); this reduction does not check that yet.  The
+    reduced diagram may violate the separation condition; that is
+    acceptable, the solvers do not rely on it.  Idempotent.
     """
     check_frequencies(diagram, freq)
     if all(v == 0 for v in freq.values()):
@@ -488,7 +477,8 @@ def check_probability(
     tol: float = NORMALIZATION_TOL,
 ) -> bool:
     """True iff every p(x) lies in [0, 1] and every operation's total
-    mass is within tol of 1.  The range check extends tol past both
+    mass is within tol of 1, that is, iff worst_gap is at most tol (a
+    NaN anywhere fails).  The range check extends tol past both
     ends, since float solutions land within rounding of the box (a
     single-outcome operation puts p at 1 exactly up to the solver's
     inner tolerance); exact rational inputs are unaffected in practice
@@ -497,12 +487,14 @@ def check_probability(
         raise ValueError("tol must be positive")
     if set(p) != set(diagram.outcomes):
         return False
-    for x in diagram.outcomes:
-        v = p[x]
-        if v < -tol or v > 1 + tol:
-            return False
-    for op in diagram.operations:
-        total = sum(p[x] for x in op)
-        if abs(total - 1) > tol:
-            return False
-    return True
+    return worst_gap(diagram, p) <= tol
+
+
+def worst_gap(diagram: GreechieDiagram, p: ProbabilityAssignment) -> float:
+    """Largest distance of an operation sum from 1, or of a probability
+    from [0, 1]; NaN when some probability is NaN."""
+    values = [float(v) for v in p.values()]
+    if math.isnan(sum(values)):  # max() would skip a NaN
+        return math.nan
+    gaps = [abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations]
+    return max(gaps + [-min(values, default=0.0), max(values, default=0.0) - 1.0, 0.0])

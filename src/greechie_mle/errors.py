@@ -7,6 +7,12 @@ precise diagnostics without re-deriving them.
 from __future__ import annotations
 
 
+def operation_text(members: tuple[str, ...]) -> str:
+    """An operation as shown in messages: its members in declaration
+    order, so the text does not depend on set iteration order."""
+    return "{" + ",".join(members) + "}"
+
+
 class GreechieError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -24,7 +30,9 @@ class DuplicateOutcome(DiagramError):
 class DuplicateEdge(DiagramError):
     def __init__(self, members: tuple[str, ...]):
         self.members = members
-        super().__init__(f"two operations share the member set {set(members)!r}")
+        super().__init__(
+            f"two operations share the member set {operation_text(members)}"
+        )
 
 
 class EmptyEdge(DiagramError):
@@ -56,7 +64,8 @@ class IntersectionTooLarge(GreechieError):
         self.edge_b = edge_b
         shared = set(edge_a) & set(edge_b)
         super().__init__(
-            f"operations {set(edge_a)!r} and {set(edge_b)!r} share {sorted(shared)!r}; "
+            f"operations {operation_text(edge_a)} and {operation_text(edge_b)} "
+            f"share {sorted(shared)!r}; "
             "cycle criteria require pairwise intersections of at most one outcome"
         )
 
@@ -74,7 +83,7 @@ class InfeasibleReduction(GreechieError):
         self.edges = edges
         super().__init__(
             f"{len(edges)} operation(s) lost every member to zero counts: "
-            + "; ".join(str(set(e)) for e in edges)
+            + "; ".join(operation_text(e) for e in edges)
         )
 
 

@@ -36,7 +36,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .closed_form import MleResult, finish_result
-from .diagram import FrequencyTable, GreechieDiagram, OutcomeId
+from .diagram import FrequencyTable, GreechieDiagram, OutcomeId, worst_gap
 from .errors import NonConvergence
 
 # Once the configured tolerance is met, keep iterating down to this gap
@@ -194,8 +194,8 @@ def kkt_residual(
     Fits multipliers to the stationarity system n(x)/p(x) =
     sum_{B containing x} lambda_B by least squares (any sign), measuring
     the mismatch relatively, per outcome: |p(x)/n(x) * sum lambda_B - 1|.
-    The reported residual is the larger of that mismatch and the largest
-    per-operation sum gap |sum_B p - 1|.  Zero exactly at the unique
+    The reported residual is the larger of that mismatch and the worst
+    constraint gap (diagram.worst_gap).  Zero exactly at the unique
     maximizer.  Outcomes with n(x) = 0 take part only in the sum gaps;
     their optimal probability is 0 and stationarity does not constrain
     them.  Requires p(x) > 0 wherever n(x) > 0."""
@@ -212,7 +212,4 @@ def kkt_residual(
     target = np.ones(len(rows))
     lam, *_ = np.linalg.lstsq(mat, target, rcond=None)
     stationarity = float(np.max(np.abs(mat @ lam - target))) if rows else 0.0
-    gaps = max(
-        abs(float(sum(p[x] for x in op)) - 1.0) for op in diagram.operations
-    )
-    return max(stationarity, gaps)
+    return max(worst_gap(diagram, p), stationarity)  # a NaN gap stays NaN

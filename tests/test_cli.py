@@ -7,6 +7,9 @@ infeasible assignment), 5 dominance or self-check failure.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,26 @@ class TestValidate:
         assert doc["g1"]["passed"] is False
         assert doc["g2_omp"]["passed"] is True
         assert doc["valid"] is False
+
+    def test_messages_independent_of_hash_seed(self):
+        # Operations are shown from their declaration-order tuples, never
+        # from sets, whose iteration order varies with PYTHONHASHSEED.
+        command = [sys.executable, "-m", "greechie_mle.cli", "validate"]
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+            done = subprocess.run(
+                command + [str(FIXTURES / "g1_violation.json")],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 1, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "operation {a,b} minus {a,c} leaves only ['b']" in outputs[0]
 
     def test_intersection_precondition(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

@@ -7,6 +7,7 @@ route against the general solver in floats).
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,12 @@ from hypothesis import strategies as st
 from greechie_mle import (
     closed_form,
     numeric,
-    BlockStats,
     EstimationError,
     InfeasibleEstimate,
     NoClosedForm,
     NonConvergence,
     InfeasibleReduction,
-    SplittingParameters,
+    Product,
     ZeroComponent,
     ZeroFactor,
     SolverConfig,
@@ -221,15 +221,51 @@ class TestChainQuadratic:
         assert max(abs(float(r.p[x]) - numeric.p[x]) for x in d.outcomes) < 1e-9
 
 
+def two_operation_chain(rng):
+    """Operations I_1 + {y} and {y} + I_2 with nonempty interiors, each
+    operation's members and the outcome list in random order."""
+    interiors = [
+        [f"{side}{k}" for k in range(rng.randint(1, 3))] for side in ("a", "b")
+    ]
+    ops = [interiors[0] + ["y"], ["y"] + interiors[1]]
+    for op in ops:
+        rng.shuffle(op)
+    outcomes = interiors[0] + interiors[1] + ["y"]
+    rng.shuffle(outcomes)
+    return build_diagram(outcomes, ops), interiors
+
+
 class TestChainGeneral:
-    def test_two_operations_exact(self):
+    def test_planner_never_emits_two_operation_chain(self):
+        # Two operations sharing y factor as {y} x {I_1 | I_2}, and the
+        # product route reproduces the linear chain solution
+        # c = n(B_2) / (n(B_1) + n(B_2)) exactly.
+        rng = random.Random("two-operation chains")
+        for _ in range(200):
+            d, (i1, i2) = two_operation_chain(rng)
+            freq = {x: rng.randint(1, 10 ** rng.randint(1, 6)) for x in d.outcomes}
+            assert isinstance(build_plan(d), Product), d
+            b1 = sum(freq[x] for x in i1)
+            b2 = sum(freq[x] for x in i2)
+            m1 = freq["y"]
+            c = Fraction(b2, b1 + b2)
+            d1 = b1 + (1 - c) * m1
+            d2 = b2 + c * m1
+            expected = {x: freq[x] / d1 for x in i1}
+            expected.update({x: freq[x] / d2 for x in i2})
+            expected["y"] = (1 - c) * m1 / d1
+            r = estimate(d, freq)
+            assert r.p == expected, (d, freq)
+            assert all(isinstance(v, Fraction) for v in r.p.values())
+            assert r.residual == 0.0
+
+    def test_two_operations_go_to_numeric(self):
         d = shapes.tennis()
         freq = {"a": 10, "c": 30, "e": 40, "b": 20, "d": 40}
         r = solve_chain_k(detect_chain(d), freq)
-        assert r.p["e"] == Fraction(2, 7)
-        assert r.p["a"] == Fraction(5, 28)
-        assert r.method == "chain-closed"
-        assert r.residual == 0.0
+        assert r.method == "chain-iterative"
+        exact = estimate(d, freq)
+        assert max(abs(float(exact.p[x]) - r.p[x]) for x in d.outcomes) < 1e-12
 
     def test_three_operations_delegate(self):
         d = shapes.path3()
@@ -451,24 +487,3 @@ class TestCertificate:
         numeric_calls = count_calls(monkeypatch, numeric, "finish_result")
         estimate(d, {x: 3 for x in d.outcomes})
         assert len(closed_calls) + len(numeric_calls) == checks
-
-
-class TestResultTypes:
-    def test_splitting_parameters_validate_range(self):
-        SplittingParameters(c=(0.5, 0.25))
-        with pytest.raises(ValueError):
-            SplittingParameters(c=(0.0,))
-        with pytest.raises(ValueError):
-            SplittingParameters(c=(1.0,))
-
-    def test_block_stats_ratio(self):
-        stats = BlockStats.gather(
-            ["a", "b"], {"a": 2, "b": 4}, {"a": Fraction(1, 4), "b": Fraction(1, 2)}
-        )
-        assert stats.n_block == 6
-        assert stats.ratio == Fraction(8)
-
-    def test_block_stats_zero_mass(self):
-        stats = BlockStats.gather(["a"], {"a": 0}, {"a": Fraction(0)})
-        with pytest.raises(ZeroDivisionError):
-            stats.ratio

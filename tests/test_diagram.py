@@ -13,6 +13,7 @@ from greechie_mle import (
     EmptyAfterReduction,
     EmptyEdge,
     IntersectionTooLarge,
+    OperationPolicy,
     UncoveredOutcome,
     UnknownMember,
     build_diagram,
@@ -23,6 +24,7 @@ from greechie_mle import (
     log_likelihood,
     minimum_cycle_length,
     reduce_zero_counts,
+    sample_outcomes,
     shapes,
     validate_diagram,
 )
@@ -92,8 +94,9 @@ def all_pairs_g1(d):
                         rule="G1",
                         witness=(d.operations[i], d.operations[j]),
                         message=(
-                            f"operation {set(d.operations[i])!r} minus "
-                            f"{set(d.operations[j])!r} leaves only {sorted(a - b)!r}"
+                            f"operation {{{','.join(d.operations[i])}}} minus "
+                            f"{{{','.join(d.operations[j])}}} "
+                            f"leaves only {sorted(a - b)!r}"
                         ),
                     )
                 )
@@ -287,9 +290,9 @@ class TestValidateDiagram:
 
     def test_both_targets_match_check_g2(self):
         for d in [shapes.triangle(), *shapes.all_shapes().values()]:
-            omp, oml = diagram._check_g2_both(d)
-            assert omp == check_g2(d, "omp")
-            assert oml == check_g2(d, "oml")
+            g2 = [v for v in validate_diagram(d).violations if v.rule.startswith("G2")]
+            expected = check_g2(d, "omp").violations + check_g2(d, "oml").violations
+            assert tuple(g2) == expected, d
 
     def test_intersection_reported_not_raised(self):
         d = build_diagram(["a", "b", "c", "x"], [["a", "b", "x"], ["a", "b", "c"]])
@@ -381,6 +384,13 @@ class TestLikelihoodHelpers:
         # tolerance applies to the range too.
         assert check_probability(d, {"a": 1.0 + 1e-12}, tol=1e-9)
         assert not check_probability(d, {"a": 1.0 + 1e-6}, tol=1e-9)
+
+    def test_nan_probability_is_not_a_distribution(self):
+        d = shapes.tennis()
+        p = {"a": math.nan, "c": 0.5, "e": 0.5, "b": 0.25, "d": 0.25}
+        assert not check_probability(d, p)
+        with pytest.raises(ValueError, match="not a valid probability"):
+            sample_outcomes(d, p, OperationPolicy.uniform(d), 1000, seed=1)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_check_probability_rejects_bad_tolerance(self, tol):

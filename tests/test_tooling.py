@@ -1,12 +1,17 @@
-"""The benchmark's tracer wraps package functions by module and name.
+"""Names that code outside the package looks up must resolve.
 
+The benchmark's tracer wraps package functions by module and name;
 ``perfbench/tracing.py`` is loaded by path, unchanged.  A renamed or
 moved function would otherwise surface only in the traced benchmark
-run, which the test suite does not run."""
+run, which the test suite does not run.  Likewise every name in
+``greechie_mle.__all__`` must exist, so a removed export leaves no
+stale name behind."""
 
 import importlib
 import runpy
 from pathlib import Path
+
+import greechie_mle
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -21,3 +26,8 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"greechie_mle.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_public_names_resolve():
+    names = greechie_mle.__all__
+    assert [name for name in names if not hasattr(greechie_mle, name)] == []
