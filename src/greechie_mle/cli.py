@@ -34,6 +34,7 @@ from .diagram import (
     GreechieDiagram,
     Violation,
     build_diagram,
+    check_frequencies,
     log_likelihood,
     reduce_zero_counts,
     validate_diagram,
@@ -104,16 +105,10 @@ def _read_counts(doc: dict, diagram: GreechieDiagram) -> dict[str, int]:
     counts = doc.get("counts")
     if not isinstance(counts, dict):
         raise CliError(EXIT_PARSE, 'this command needs a "counts" object')
-    if set(counts) != set(diagram.outcomes):
-        missing = sorted(set(diagram.outcomes) - set(counts))
-        extra = sorted(set(counts) - set(diagram.outcomes))
-        raise CliError(
-            EXIT_PARSE,
-            f"counts must cover the outcomes exactly (missing {missing}, extra {extra})",
-        )
-    for x, v in counts.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise CliError(EXIT_PARSE, f"count for {x!r} must be a nonnegative integer")
+    try:
+        check_frequencies(diagram, counts)
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"bad counts: {exc}") from exc
     return counts
 
 

@@ -12,9 +12,12 @@ Rational inputs stay rational wherever the solution is a rational
 function of the counts; chain roots are algebraic irrationals and use
 floating point.
 
-``estimate`` is the top-level entry point: it validates counts, applies
-zero-count reduction, builds a plan, dispatches it, re-inserts the
-removed outcomes with probability zero, and certifies the result once.
+``estimate`` is the only way into the plan executor: it validates
+counts, applies zero-count reduction, builds a plan, dispatches it
+(``_execute`` for leaves, ``_combine`` for sums and products),
+re-inserts the removed outcomes with probability zero, and certifies
+the result once.  The leaf solvers stay public for a single operation
+or a chain with its diagram.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .decompose import (
     Chain,
@@ -41,7 +44,6 @@ from .decompose import (
 from .diagram import (
     FrequencyTable,
     GreechieDiagram,
-    Operation,
     OutcomeId,
     log_likelihood,
     reduce_zero_counts,
@@ -52,8 +54,6 @@ from .errors import (
     InfeasibleReduction,
     NoClosedForm,
     NoRootInUnitInterval,
-    ZeroComponent,
-    ZeroFactor,
     ZeroTotal,
 )
 
@@ -110,19 +110,13 @@ def _sub_freq(diagram: GreechieDiagram, freq: FrequencyTable) -> dict[OutcomeId,
 # ----------------------------------------------------------------- classical
 
 
-def solve_classical(
-    edge: Union[GreechieDiagram, Operation], freq: FrequencyTable
-) -> MleResult:
+def solve_classical(diagram: GreechieDiagram, freq: FrequencyTable) -> MleResult:
     """Single operation: p(x) = n(x) / total, in exact rationals.
 
     The likelihood is multinomial and the empirical distribution is its
     unique maximizer.  Raises ZeroTotal when nothing was observed."""
-    if isinstance(edge, GreechieDiagram):
-        diagram = edge
-        if len(diagram.operations) != 1:
-            raise ValueError("solve_classical requires a single-operation diagram")
-    else:
-        diagram = GreechieDiagram(outcomes=tuple(edge), operations=(tuple(edge),))
+    if len(diagram.operations) != 1:
+        raise ValueError("solve_classical requires a single-operation diagram")
     total = sum(freq[x] for x in diagram.outcomes)
     if total == 0:
         raise ZeroTotal()
@@ -130,83 +124,14 @@ def solve_classical(
     return finish_result(diagram, _sub_freq(diagram, freq), p, "classical")
 
 
-# ------------------------------------------------------- horizontal / product
-
-
-def solve_horizontal(
-    components: Sequence[GreechieDiagram],
-    freq: FrequencyTable,
-    *,
-    diagram: Optional[GreechieDiagram] = None,
-) -> MleResult:
-    """Disconnected pieces are independent: solve each on its own counts
-    and return the union assignment.
-
-    Each component needs at least one observation; a component with
-    total count zero has an unidentified conditional distribution and
-    raises ZeroComponent rather than silently picking one."""
-    seen: set[OutcomeId] = set()
-    for comp in components:
-        overlap = seen.intersection(comp.outcomes)
-        if overlap:
-            raise ValueError(f"components are not disjoint: {sorted(overlap)}")
-        seen.update(comp.outcomes)
-    if diagram is None:
-        diagram = GreechieDiagram(
-            outcomes=tuple(itertools.chain.from_iterable(c.outcomes for c in components)),
-            operations=tuple(itertools.chain.from_iterable(c.operations for c in components)),
-        )
-    children = tuple(build_plan(comp) for comp in components)
-    return execute_plan(HorizontalSum(diagram=diagram, children=children), freq)
-
-
-def solve_product(
-    factors: Sequence[GreechieDiagram],
-    freq: FrequencyTable,
-    *,
-    diagram: Optional[GreechieDiagram] = None,
-) -> MleResult:
-    """Product structure: weight each factor by its share of the total
-    count, then scale each factor's conditional solution.
-
-    The factor count n(B_i) sums the observations of the factor's
-    outcomes, the weight is n(B_i) / sum_j n(B_j), and the conditional
-    estimate within factor i is that factor's own MLE, so
-    p(x) = weight_i * p(x | factor i).  Exact when the factors solve
-    exactly.  A factor with no observations raises ZeroFactor."""
-    if diagram is None:
-        # Reconstruct the full product: one operation per combination of
-        # factor operations.  Only the edge sets matter for validation.
-        combos = itertools.product(*(f.operations for f in factors))
-        diagram = GreechieDiagram(
-            outcomes=tuple(itertools.chain.from_iterable(f.outcomes for f in factors)),
-            operations=tuple(
-                tuple(itertools.chain.from_iterable(combo)) for combo in combos
-            ),
-        )
-    plans = tuple(build_plan(f) for f in factors)
-    return execute_plan(Product(diagram=diagram, factors=plans), freq)
-
-
 # --------------------------------------------------------------------- chains
-
-
-def _chain_diagram(chain: ChainDescriptor) -> GreechieDiagram:
-    outcomes: list[OutcomeId] = []
-    seen: set[OutcomeId] = set()
-    for edge in chain.edges:
-        for x in edge:
-            if x not in seen:
-                seen.add(x)
-                outcomes.append(x)
-    return GreechieDiagram(outcomes=tuple(outcomes), operations=chain.edges)
 
 
 def solve_chain2(
     chain: ChainDescriptor,
     freq: FrequencyTable,
     *,
-    diagram: Optional[GreechieDiagram] = None,
+    diagram: GreechieDiagram,
 ) -> MleResult:
     """Three operations, two shared outcomes: closed form via a quadratic.
 
@@ -258,8 +183,6 @@ def solve_chain2(
     p[y1] = c1 * m1 / d2
     p[y2] = c2 * m2 / d2
 
-    if diagram is None:
-        diagram = _chain_diagram(chain)
     diagnostics = {
         "splitting_parameters": [c1, c2],
         "denominators": [d1, d2, d3],
@@ -305,7 +228,7 @@ def solve_chain_k(
     chain: ChainDescriptor,
     freq: FrequencyTable,
     *,
-    diagram: Optional[GreechieDiagram] = None,
+    diagram: GreechieDiagram,
     config=None,
 ) -> MleResult:
     """Chain of m operations with m-1 splitting parameters.
@@ -327,8 +250,6 @@ def solve_chain_k(
     the numeric solver does not converge."""
     if chain.m == 3:
         return solve_chain2(chain, freq, diagram=diagram)
-    if diagram is None:
-        diagram = _chain_diagram(chain)
     from .numeric import solve_numeric
 
     result = solve_numeric(diagram, _sub_freq(diagram, freq), config)
@@ -341,28 +262,6 @@ def solve_chain_k(
 
 
 # ----------------------------------------------------------------- dispatcher
-
-
-def execute_plan(
-    plan: DecompositionTree, freq: FrequencyTable, config=None
-) -> MleResult:
-    """Dispatch a decomposition tree to the matching solvers, combine the
-    pieces into one assignment over the plan's diagram, and certify it
-    once, at the root.
-
-    ``config`` (a SolverConfig, or None for its defaults) goes to every
-    numeric solve: the numeric leaves and the chains other than the
-    three-operation quadratic.  Errors raised by a nested solver gain a
-    ``node_path`` attribute locating the failing node in the tree."""
-    p, method, diagnostics = _execute(plan, freq, "root", config)
-    return finish_result(
-        plan.diagram,
-        _sub_freq(plan.diagram, freq),
-        p,
-        method,
-        diagnostics,
-        tol=_tolerance(plan, config),
-    )
 
 
 def _tolerance(plan: DecompositionTree, config) -> float:
@@ -382,13 +281,17 @@ def _execute(
     plan: DecompositionTree, freq: FrequencyTable, path: str, config
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """The assignment, route name and diagnostics of one plan node, all
-    new objects the caller may change.  Leaf solvers certify their own
-    results; composite nodes are feasible whenever their children are."""
+    new objects the caller may change, from counts over exactly the
+    node's outcomes.  Leaf solvers certify their own results; composite
+    nodes are feasible whenever their children are, and the caller
+    certifies the root.  ``config`` (a SolverConfig, or None for its
+    defaults) goes to every numeric solve.  An error raised below gains
+    a ``node_path`` attribute locating the failing node in the tree."""
     try:
         if isinstance(plan, (HorizontalSum, Product)):
             return _combine(plan, freq, path, config)
         if isinstance(plan, ClassicalLeaf):
-            result = solve_classical(plan.diagram, _sub_freq(plan.diagram, freq))
+            result = solve_classical(plan.diagram, freq)
         elif isinstance(plan, Chain):
             result = solve_chain_k(
                 plan.descriptor, freq, diagram=plan.diagram, config=config
@@ -410,16 +313,14 @@ def _combine(
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """A sum is the union of its children's assignments; a product
     scales each factor's assignment by the factor's share of the total
-    count.  Every total is checked before any child runs.  A product
-    operation sums to sum_i w_i (factor i's operation sum) with
-    sum_i w_i = 1, so no check is needed here beyond the children's."""
+    count.  The counts are positive after zero-count reduction, so no
+    total is zero.  A product operation sums to sum_i w_i (factor i's
+    operation sum) with sum_i w_i = 1, so no check is needed here beyond
+    the children's."""
     is_sum = isinstance(plan, HorizontalSum)
     children = plan.children if is_sum else plan.factors
     label = "sum" if is_sum else "product"
     totals = [sum(freq[x] for x in child.diagram.outcomes) for child in children]
-    for i, total in enumerate(totals):
-        if total == 0:
-            raise ZeroComponent(i) if is_sum else ZeroFactor(i)
     grand = sum(totals)
     weights = [Fraction(total, grand) for total in totals]
     p: dict[OutcomeId, Number] = {}

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Construction errors carry the offending object so callers can report
-precise diagnostics without re-deriving them.
+precise diagnostics without re-deriving them.  An error raised while
+``estimate`` runs its plan also carries ``node_path`` (such as
+"root/sum[1]"), the plan node that failed.
 """
 
 from __future__ import annotations
@@ -94,24 +96,6 @@ class EstimationError(GreechieError):
 class ZeroTotal(EstimationError):
     def __init__(self) -> None:
         super().__init__("all counts are zero, the classical estimate is undefined")
-
-
-class ZeroComponent(EstimationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(
-            f"connected component #{index} has zero total count; "
-            "its internal probabilities are undetermined"
-        )
-
-
-class ZeroFactor(EstimationError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(
-            f"product factor #{index} has zero total count; "
-            "its conditional probabilities are undetermined"
-        )
 
 
 class NoRootInUnitInterval(EstimationError):

@@ -52,10 +52,10 @@ class OperationPolicy:
     def __post_init__(self) -> None:
         total = 0.0
         for op, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative policy weight for {op!r}")
+            if not w >= 0:  # NaN fails this too
+                raise ValueError(f"policy weight {w!r} for {op!r} is not nonnegative")
             total += w
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"policy weights sum to {total!r}, not 1")
 
     @classmethod
@@ -95,8 +95,11 @@ def sample_outcomes(
     weight_vec = np.array(
         [float(policy.weights.get(op, 0.0)) for op in diagram.operations]
     )
-    if abs(float(weight_vec.sum()) - 1.0) > 1e-9:
-        raise ValueError("policy does not cover this diagram's operations")
+    total = float(weight_vec.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(
+            f"policy weights of this diagram's operations sum to {total!r}, not 1"
+        )
 
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random((trial_count, 2))

@@ -168,6 +168,19 @@ class TestEstimate:
         assert code == 2
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "counts, named",
+        [({"a": 1, "b": 2, "z": 3}, "'z'"), ({"a": 1}, "'b'")],
+        ids=["extra", "missing"],
+    )
+    def test_counts_must_cover_the_outcomes(self, capsys, tmp_path, counts, named):
+        path = tmp_path / "domain.json"
+        doc = {"outcomes": ["a", "b"], "operations": [["a", "b"]], "counts": counts}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "estimate", path)
+        assert code == 2
+        assert named in err
+
     def test_self_check_pass(self, capsys):
         code, _, _ = run(capsys, "estimate", FIXTURES / "tennis.json", "--self-check")
         assert code == 0
@@ -269,6 +282,15 @@ class TestSample:
         code, _, err = run(capsys, "sample", path, "--n", "10")
         assert code == 1
         assert "policy" in err
+
+    def test_nan_policy_rejected(self, capsys, tmp_path):
+        path = tmp_path / "nanpolicy.json"
+        doc = json.loads((FIXTURES / "sample_tennis.json").read_text())
+        doc["policy"] = [float("nan"), 1.0]
+        path.write_text(json.dumps(doc))  # written as the JSON token NaN
+        code, _, err = run(capsys, "sample", path, "--n", "10", "--seed", "1")
+        assert code == 1
+        assert "invalid policy" in err
 
     def test_bad_fraction_string(self, capsys, tmp_path):
         path = tmp_path / "badprob.json"

@@ -18,13 +18,12 @@ from greechie_mle import (
     closed_form,
     numeric,
     EstimationError,
+    GreechieError,
     InfeasibleEstimate,
     NoClosedForm,
     NonConvergence,
     InfeasibleReduction,
     Product,
-    ZeroComponent,
-    ZeroFactor,
     SolverConfig,
     ZeroTotal,
     build_diagram,
@@ -32,18 +31,15 @@ from greechie_mle import (
     detect_chain,
     elimination_c1,
     estimate,
-    execute_plan,
     finish_result,
     shapes,
     solve_chain2,
     solve_chain_k,
     solve_classical,
-    solve_horizontal,
     solve_numeric,
-    solve_product,
 )
 
-from tests.conftest import count_calls, random_counts
+from tests.conftest import count_calls, random_counts, random_diagram
 
 counts_strategy = st.integers(min_value=1, max_value=1000)
 
@@ -57,12 +53,15 @@ class TestClassical:
         assert r.residual == 0.0
 
     def test_accepts_bare_operation(self):
-        r = solve_classical(("a", "b"), {"a": 3, "b": 1})
+        # A bare operation becomes a diagram through build_diagram(op, [op]).
+        op = ["a", "b"]
+        r = solve_classical(build_diagram(op, [op]), {"a": 3, "b": 1})
         assert r.p["a"] == Fraction(3, 4)
 
     def test_zero_total(self):
+        op = ["a", "b"]
         with pytest.raises(ZeroTotal):
-            solve_classical(("a", "b"), {"a": 0, "b": 0})
+            solve_classical(build_diagram(op, [op]), {"a": 0, "b": 0})
 
     def test_requires_single_operation(self):
         with pytest.raises(ValueError):
@@ -70,21 +69,16 @@ class TestClassical:
 
     @given(st.lists(counts_strategy, min_size=2, max_size=10))
     def test_matches_empirical_distribution_exactly(self, counts):
-        op = tuple(f"x{i}" for i in range(len(counts)))
+        op = [f"x{i}" for i in range(len(counts))]
         freq = dict(zip(op, counts))
-        r = solve_classical(op, freq)
+        r = solve_classical(build_diagram(op, [op]), freq)
         total = sum(counts)
         assert all(r.p[x] == Fraction(freq[x], total) for x in op)
 
 
 class TestHorizontal:
     def test_components_solved_independently(self):
-        d = shapes.disjoint_pairs()
-        r = solve_horizontal(
-            [build_diagram(["a", "b"], [["a", "b"]]), build_diagram(["c", "d"], [["c", "d"]])],
-            {"a": 1, "b": 3, "c": 2, "d": 2},
-            diagram=d,
-        )
+        r = estimate(shapes.disjoint_pairs(), {"a": 1, "b": 3, "c": 2, "d": 2})
         assert r.p == {
             "a": Fraction(1, 4),
             "b": Fraction(3, 4),
@@ -93,47 +87,21 @@ class TestHorizontal:
         }
         assert r.method == "horizontal"
 
-    def test_rejects_overlapping_components(self):
-        comp = build_diagram(["a", "b"], [["a", "b"]])
-        with pytest.raises(ValueError, match="disjoint"):
-            solve_horizontal([comp, comp], {"a": 1, "b": 1})
-
-    def test_zero_component_indexed(self):
-        comps = [
-            build_diagram(["a", "b"], [["a", "b"]]),
-            build_diagram(["c", "d"], [["c", "d"]]),
-        ]
-        with pytest.raises(ZeroComponent) as info:
-            solve_horizontal(comps, {"a": 1, "b": 1, "c": 0, "d": 0})
-        assert info.value.index == 1
-
 
 class TestProduct:
     def test_tennis_weights_and_values(self):
-        factors = [
-            build_diagram(["a", "c", "b", "d"], [["a", "c"], ["b", "d"]]),
-            build_diagram(["e"], [["e"]]),
-        ]
         freq = {"a": 10, "c": 30, "e": 40, "b": 20, "d": 40}
-        r = solve_product(factors, freq, diagram=shapes.tennis())
+        r = estimate(shapes.tennis(), freq)
+        assert r.method == "product"
         assert r.p["e"] == Fraction(2, 7)
         assert r.p["a"] == Fraction(5, 28)
         assert r.diagnostics["weights"] == [5 / 7, 2 / 7]
-
-    def test_zero_factor_indexed(self):
-        factors = [
-            build_diagram(["a", "c", "b", "d"], [["a", "c"], ["b", "d"]]),
-            build_diagram(["e"], [["e"]]),
-        ]
-        with pytest.raises(ZeroFactor) as info:
-            solve_product(factors, {"a": 1, "c": 1, "b": 1, "d": 1, "e": 0})
-        assert info.value.index == 1
 
 
 class TestChainQuadratic:
     def test_reference_algebra(self):
         d = shapes.path3()
-        r = solve_chain2(detect_chain(d), {x: 1 for x in d.outcomes})
+        r = solve_chain2(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
         root2 = math.sqrt(2.0)
         assert abs(float(r.p["y1"]) - (3.0 - root2) / 7.0) < 1e-12
         assert abs(float(r.p["y2"]) - (3.0 - root2) / 7.0) < 1e-12
@@ -146,29 +114,30 @@ class TestChainQuadratic:
     def test_interior_block_ratios_constant(self):
         d = shapes.path3()
         freq = {"a1": 4, "a2": 9, "y1": 7, "b": 11, "y2": 3, "c1": 8, "c2": 2}
-        r = solve_chain2(detect_chain(d), freq)
+        r = solve_chain2(detect_chain(d), freq, diagram=d)
         chain = detect_chain(d)
         for interior in chain.interiors:
             ratios = [freq[x] / float(r.p[x]) for x in interior]
             assert max(ratios) - min(ratios) < 1e-9 * max(ratios)
 
     def test_requires_three_operations(self):
+        d = shapes.tennis()
         with pytest.raises(ValueError):
-            solve_chain2(detect_chain(shapes.tennis()), {x: 1 for x in shapes.tennis().outcomes})
+            solve_chain2(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
 
     def test_requires_positive_counts(self):
         d = shapes.path3()
         freq = {x: 1 for x in d.outcomes}
         freq["b"] = 0
         with pytest.raises(ValueError, match="positive"):
-            solve_chain2(detect_chain(d), freq)
+            solve_chain2(detect_chain(d), freq, diagram=d)
 
     def test_requires_nonempty_interiors(self):
         d = build_diagram(
             ["a", "y1", "y2", "b"], [["a", "y1"], ["y1", "y2"], ["y2", "b"]]
         )
         with pytest.raises(ValueError, match="interior"):
-            solve_chain2(detect_chain(d), {x: 1 for x in d.outcomes})
+            solve_chain2(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
 
     @given(
         b1=counts_strategy,
@@ -192,7 +161,7 @@ class TestChainQuadratic:
     def test_random_counts_always_solvable(self, values):
         d = shapes.path3()
         freq = dict(zip(d.outcomes, values))
-        r = solve_chain2(detect_chain(d), freq)
+        r = solve_chain2(detect_chain(d), freq, diagram=d)
         c1, c2 = r.diagnostics["splitting_parameters"]
         assert 0.0 < c1 < 1.0
         assert 0.0 < c2 < 1.0
@@ -262,19 +231,19 @@ class TestChainGeneral:
     def test_two_operations_go_to_numeric(self):
         d = shapes.tennis()
         freq = {"a": 10, "c": 30, "e": 40, "b": 20, "d": 40}
-        r = solve_chain_k(detect_chain(d), freq)
+        r = solve_chain_k(detect_chain(d), freq, diagram=d)
         assert r.method == "chain-iterative"
         exact = estimate(d, freq)
         assert max(abs(float(exact.p[x]) - r.p[x]) for x in d.outcomes) < 1e-12
 
     def test_three_operations_delegate(self):
         d = shapes.path3()
-        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes})
+        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
         assert r.method == "chain-closed"
 
     def test_path4_reference_values(self):
         d = shapes.path4()
-        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes})
+        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
         assert r.method == "chain-iterative"
         expected = {
             "a1": Fraction(7, 18),
@@ -295,7 +264,7 @@ class TestChainGeneral:
     def test_path5_matches_numeric(self):
         d = shapes.path5()
         freq = {x: 2 + 3 * (i % 4) for i, x in enumerate(d.outcomes)}
-        chain_r = solve_chain_k(detect_chain(d), freq)
+        chain_r = solve_chain_k(detect_chain(d), freq, diagram=d)
         num_r = solve_numeric(d, freq)
         worst = max(abs(float(chain_r.p[x]) - num_r.p[x]) for x in d.outcomes)
         assert worst < 1e-8
@@ -306,6 +275,7 @@ class TestChainGeneral:
             solve_chain_k(
                 detect_chain(d),
                 {x: 1 for x in d.outcomes},
+                diagram=d,
                 config=SolverConfig(max_sweeps=1),
             )
         assert info.value.iterations == 1
@@ -315,34 +285,25 @@ class TestChainGeneral:
     def test_path4_agrees_with_numeric(self, values):
         d = shapes.path4()
         freq = dict(zip(d.outcomes, values))
-        chain_r = solve_chain_k(detect_chain(d), freq)
+        chain_r = solve_chain_k(detect_chain(d), freq, diagram=d)
         num_r = solve_numeric(d, freq)
         worst = max(abs(float(chain_r.p[x]) - num_r.p[x]) for x in d.outcomes)
         assert worst < 1e-8
 
 
 class TestExecutePlan:
-    def test_zero_component_checked_before_children(self):
-        plan = build_plan(shapes.disjoint_pairs())
-        with pytest.raises(ZeroComponent) as info:
-            execute_plan(plan, {"a": 1, "b": 1, "c": 0, "d": 0})
-        assert info.value.index == 1
-
-    def test_zero_factor_surfaces(self):
-        plan = build_plan(shapes.tennis())
-        with pytest.raises(ZeroFactor):
-            execute_plan(plan, {"a": 1, "c": 1, "e": 0, "b": 1, "d": 1})
-
     def test_error_carries_node_path(self):
-        base = shapes.tennis()
+        # A coin beside the four-cycle: the numeric leaf, the sum's second
+        # child, cannot converge in one Newton iteration.
+        base = shapes.four_cycle()
         d = build_diagram(
-            list(base.outcomes) + ["p", "q"],
-            [list(op) for op in base.operations] + [["p", "q"]],
+            ["p", "q"] + list(base.outcomes),
+            [["p", "q"]] + [list(op) for op in base.operations],
         )
-        freq = {"a": 1, "c": 1, "e": 0, "b": 1, "d": 1, "p": 1, "q": 1}
-        with pytest.raises(ZeroFactor) as info:
-            execute_plan(build_plan(d), freq)
-        assert info.value.node_path == "root/sum[0]"
+        freq = {x: 1 + i for i, x in enumerate(d.outcomes)}
+        with pytest.raises(NonConvergence) as info:
+            estimate(d, freq, config=SolverConfig(max_sweeps=1))
+        assert info.value.node_path == "root/sum[1]"
 
 
 class TestEstimate:
@@ -406,6 +367,23 @@ class TestEstimate:
         r = estimate(d, {x: 1 for x in d.outcomes})
         assert r.diagnostics["tree"]["kind"] == "chain"
         assert r.diagnostics["verdict"] == "chain-solvable"
+
+    def test_zero_counts_raise_only_typed_errors(self):
+        # After zero-count reduction every outcome of every plan node has
+        # a positive count, so no sum or product child has a zero total:
+        # a zero-total component surfaces as InfeasibleReduction, never as
+        # a ZeroTotal leaf or an untyped error from the combiner.
+        rng = random.Random("zero counts")
+        outcomes = set()
+        for _ in range(200):
+            d = random_diagram(rng)
+            freq = {x: 0 if rng.random() < 0.3 else rng.randint(1, 50) for x in d.outcomes}
+            try:
+                outcomes.add(estimate(d, freq).method)
+            except GreechieError as exc:
+                assert not isinstance(exc, ZeroTotal), (d, freq)
+                outcomes.add(type(exc).__name__)
+        assert {"horizontal", "product", "InfeasibleReduction"} <= outcomes
 
     @given(
         st.lists(st.integers(min_value=1, max_value=30), min_size=5, max_size=5),

@@ -5,6 +5,7 @@ trial, cumulative policy then cumulative member search); any change to
 the order of operations shows up here as a count mismatch.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -39,8 +40,9 @@ class TestPolicy:
         d = shapes.tennis()
         with pytest.raises(ValueError):
             OperationPolicy.aligned(d, [0.7, 0.7])
-        with pytest.raises(ValueError):
-            OperationPolicy.aligned(d, [-0.2, 1.2])
+        for weights in ([-0.2, 1.2], [math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(ValueError):
+                OperationPolicy.aligned(d, weights)
 
 
 class TestSampleOutcomes:
@@ -95,6 +97,9 @@ class TestSampleOutcomes:
         bad = dict(TENNIS_TRUTH, a=Fraction(1, 2))
         with pytest.raises(ValueError):
             sample_outcomes(d, bad, policy, 10, 1)
+        policy.weights[d.operations[0]] = math.nan  # after validation
+        with pytest.raises(ValueError, match="policy"):
+            sample_outcomes(d, TENNIS_TRUTH, policy, 10, 1)
 
     def test_estimates_recover_truth(self):
         # Statistical round trip at a seeded sample size; errors scale

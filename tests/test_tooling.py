@@ -5,10 +5,12 @@ The benchmark's tracer wraps package functions by module and name;
 moved function would otherwise surface only in the traced benchmark
 run, which the test suite does not run.  Likewise every name in
 ``greechie_mle.__all__`` must exist, so a removed export leaves no
-stale name behind."""
+stale name behind, and every public attribute other than a submodule
+must be listed there, so an added export is not left out."""
 
 import importlib
 import runpy
+import types
 from pathlib import Path
 
 import greechie_mle
@@ -31,3 +33,14 @@ def test_traced_functions_resolve():
 def test_public_names_resolve():
     names = greechie_mle.__all__
     assert [name for name in names if not hasattr(greechie_mle, name)] == []
+
+
+def test_public_names_listed():
+    unlisted = [
+        name
+        for name, value in vars(greechie_mle).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and name not in greechie_mle.__all__
+    ]
+    assert unlisted == []
