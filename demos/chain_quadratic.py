@@ -2,8 +2,10 @@
 
 With every count equal to one, the splitting parameters come out at
 sqrt(2) - 1 and the shared outcomes at (3 - sqrt(2))/7.  The script
-prints the solved values next to the algebraic targets, then runs the
-general chain solver on a longer path for comparison.
+prints the solved values next to the algebraic targets, then solves a
+five-operation path, which has no closed form and goes to the numeric
+solver; its splitting parameters come from the solver's multipliers,
+c_i = lambda_{i+1} / (lambda_i + lambda_{i+1}).
 """
 
 import math
@@ -28,4 +30,6 @@ longer = path5()
 res5 = estimate(longer, {x: 1 for x in longer.outcomes})
 print(f"\nfive-operation chain: method {res5.method}")
 print("shared outcomes:", {x: round(float(res5.p[x]), 6) for x in ("y1", "y2", "y3", "y4")})
+lam = res5.diagnostics["multipliers"]
+print("splitting parameters:", [round(b / (a + b), 6) for a, b in zip(lam, lam[1:])])
 print(f"residual: {res5.residual:.2e}")

@@ -4,8 +4,8 @@ Event structures are finite hypergraphs: outcomes (vertices) grouped
 into operations (edges), each operation's probabilities summing to one.
 Given observed outcome counts, the library computes the maximum
 likelihood probability assignment, in closed form where the structure
-decomposes into operations, horizontal sums, products, and chains, and
-by a certified concave solver otherwise.
+decomposes into operations, horizontal sums, products, and chains of
+three operations, and by a certified concave solver otherwise.
 """
 
 from .closed_form import (
@@ -13,7 +13,6 @@ from .closed_form import (
     elimination_c1,
     estimate,
     finish_result,
-    solve_chain2,
     solve_chain_k,
     solve_classical,
 )
@@ -71,7 +70,6 @@ from .oracle import (
     OracleBudget,
     brute_force_mle,
     incidence_matrix,
-    interior_point,
     nullspace_basis,
     sample_feasible,
 )
@@ -127,7 +125,6 @@ __all__ = [
     "factor_product",
     "finish_result",
     "incidence_matrix",
-    "interior_point",
     "kkt_residual",
     "log_likelihood",
     "minimum_cycle_length",
@@ -138,7 +135,6 @@ __all__ = [
     "sample_feasible",
     "sample_outcomes",
     "shapes",
-    "solve_chain2",
     "solve_chain_k",
     "solve_classical",
     "solve_numeric",

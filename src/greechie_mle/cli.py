@@ -36,7 +36,6 @@ from .diagram import (
     build_diagram,
     check_frequencies,
     log_likelihood,
-    reduce_zero_counts,
     validate_diagram,
 )
 from .errors import DiagramError, EstimationError, GreechieError, NoClosedForm
@@ -346,20 +345,21 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     diagram = _build_diagram(doc)
     counts = _read_counts(doc, diagram)
     result = estimate(diagram, counts)
-    reduction = reduce_zero_counts(diagram, counts)
+    # The oracle searches the caller's problem, not the reduced one that
+    # estimate solves, so a wrong zero-count reduction shows as a FAIL.
     budget = OracleBudget(sample_count=args.samples, rng_seed=args.seed)
-    oracle_best = brute_force_mle(reduction.diagram, reduction.freq, budget)
+    oracle_best = brute_force_mle(diagram, counts, budget)
 
     solver_p = dict(result.p)
     if args.corrupt:
         # Negative-control hook: damage the solver answer so dominance
         # must fail if the oracle works.
-        worst = max(reduction.freq, key=reduction.freq.__getitem__)
+        worst = max(counts, key=counts.__getitem__)
         solver_p[worst] = float(solver_p[worst]) * 0.5
         log.info("corrupt hook active: halved p(%s)", worst)
 
     solver_ll = log_likelihood(counts, solver_p)
-    oracle_ll = log_likelihood(reduction.freq, oracle_best)
+    oracle_ll = log_likelihood(counts, oracle_best)
     passed = solver_ll >= oracle_ll - _DOMINANCE_SLACK
     document = {
         "solver_loglik": solver_ll,

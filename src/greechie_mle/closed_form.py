@@ -1,30 +1,30 @@
 """Closed-form maximum likelihood solvers and the plan dispatcher.
 
-The estimators here cover every structure recognized by the
-decomposition pass: single operations (the multinomial case, solved by
-the empirical distribution), horizontal sums (independent subproblems),
-products (operation weights times conditional factor solutions), and
-chains of three operations (splitting parameters satisfying a
-consistency system that is quadratic; other chains go to the numeric
-solver).  Two operations sharing one outcome are solved as a product,
-so the linear two-operation chain needs no solver of its own.
-Rational inputs stay rational wherever the solution is a rational
-function of the counts; chain roots are algebraic irrationals and use
-floating point.
+The estimators here cover every structure with a direct solution that
+the decomposition pass recognizes: single operations (the multinomial
+case, solved by the empirical distribution), horizontal sums
+(independent subproblems), products (operation weights times
+conditional factor solutions), and chains of three operations
+(splitting parameters satisfying a consistency system that is
+quadratic).  Two operations sharing one outcome are solved as a
+product, so the linear two-operation chain needs no solver of its own;
+chains of four or more operations are numeric leaves.  Rational inputs
+stay rational wherever the solution is a rational function of the
+counts; chain roots are algebraic irrationals and use floating point.
 
 ``estimate`` is the only way into the plan executor: it validates
 counts, applies zero-count reduction, builds a plan, dispatches it
 (``_execute`` for leaves, ``_combine`` for sums and products),
 re-inserts the removed outcomes with probability zero, and certifies
 the result once.  The leaf solvers stay public for a single operation
-or a chain with its diagram.
+or a three-operation chain with its diagram.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -127,13 +127,15 @@ def solve_classical(diagram: GreechieDiagram, freq: FrequencyTable) -> MleResult
 # --------------------------------------------------------------------- chains
 
 
-def solve_chain2(
+def solve_chain_k(
     chain: ChainDescriptor,
     freq: FrequencyTable,
     *,
     diagram: GreechieDiagram,
 ) -> MleResult:
-    """Three operations, two shared outcomes: closed form via a quadratic.
+    """A chain of k = 3 operations, two shared outcomes: closed form via
+    a quadratic.  This is the only chain solver; the planner sends
+    longer chains to the numeric solver.
 
     Parameters c_1, c_2 are the fractions of the shared counts n(y_1),
     n(y_2) attributed to the middle operation, making its denominator
@@ -150,16 +152,18 @@ def solve_chain2(
     The complements 1-c_i are computed directly rather than by
     subtraction, which would keep only a few digits when c_i is within
     1e-8 of 1: 1-c_2 is the unit-interval root of the same quadratic
-    in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2))."""
+    in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2)).
+    Raises ValueError unless the chain has three operations, a nonempty
+    interior in each, and positive counts."""
     if chain.m != 3:
-        raise ValueError("solve_chain2 requires exactly three operations")
+        raise ValueError("solve_chain_k requires exactly three operations")
     for x in itertools.chain.from_iterable(chain.edges):
         if freq[x] <= 0:
             raise ValueError(
-                f"chain solvers require positive counts; {x!r} has {freq[x]}"
+                f"solve_chain_k requires positive counts; {x!r} has {freq[x]}"
             )
     if not all(chain.interiors):
-        raise ValueError("chain solvers require a nonempty interior in every operation")
+        raise ValueError("solve_chain_k requires a nonempty interior in every operation")
     b1, b2, b3 = (sum(freq[x] for x in interior) for interior in chain.interiors)
     m1, m2 = (freq[y] for y in chain.shared)
 
@@ -219,62 +223,12 @@ def _stable_quadratic_roots(qa: int, qb: int, qc: int) -> tuple[float, float]:
 
 def elimination_c1(b1: int, b2: int, m2: int, c2: Number) -> Number:
     """The c_1 that satisfies the first consistency equation for a given
-    c_2.  solve_chain2 evaluates it at its root c_2; the identity holds
+    c_2.  solve_chain_k evaluates it at its root c_2; the identity holds
     for any c_2, which the tests verify in exact rational arithmetic."""
     return (b2 + c2 * m2) / (b1 + b2 + c2 * m2)
 
 
-def solve_chain_k(
-    chain: ChainDescriptor,
-    freq: FrequencyTable,
-    *,
-    diagram: GreechieDiagram,
-    config=None,
-) -> MleResult:
-    """Chain of m operations with m-1 splitting parameters.
-
-    Parameter c_i splits the shared count n(y_i): c_i n(y_i) goes to the
-    later operation A_{i+1} and (1-c_i) n(y_i) to A_i, giving
-    denominators D_j = n(B_j) + (1-c_j) n(y_j) + c_{j-1} n(y_{j-1}) with
-    the absent end terms dropped.  Probability consistency at each
-    shared outcome requires (1-c_i)/D_i = c_i/D_{i+1}.
-
-    m = 3 is the quadratic handled by solve_chain2.  Any other m goes to
-    the numeric solver with ``config`` (a SolverConfig, or None for its
-    defaults), under the method name "chain-iterative".  Its multipliers
-    are the denominators, D_j = lambda_j, so the splitting parameters
-    are c_i = lambda_{i+1} / (lambda_i + lambda_{i+1}).  The planner
-    emits no two-operation chain: two operations sharing one outcome y
-    factor as the product {y} x {I_1 | I_2} of their interiors.  Raises
-    ValueError on counts that are not positive, and NonConvergence when
-    the numeric solver does not converge."""
-    if chain.m == 3:
-        return solve_chain2(chain, freq, diagram=diagram)
-    from .numeric import solve_numeric
-
-    result = solve_numeric(diagram, _sub_freq(diagram, freq), config)
-    position = {op: j for j, op in enumerate(diagram.operations)}
-    lam = [result.diagnostics["multipliers"][position[edge]] for edge in chain.edges]
-    result.diagnostics["splitting_parameters"] = [
-        right / (left + right) for left, right in zip(lam, lam[1:])
-    ]
-    return replace(result, method="chain-iterative")
-
-
 # ----------------------------------------------------------------- dispatcher
-
-
-def _tolerance(plan: DecompositionTree, config) -> float:
-    """Feasibility tolerance for a plan's assignment.  Numeric results,
-    on numeric leaves and on chains other than the three-operation
-    quadratic, are only as feasible as the solver's stopping rule."""
-    if any(
-        isinstance(leaf, NumericLeaf)
-        or (isinstance(leaf, Chain) and leaf.descriptor.m != 3)
-        for leaf in plan_leaves(plan)
-    ):
-        return 1e-9 if config is None else max(1e-9, config.kkt_tolerance)
-    return 1e-10
 
 
 def _execute(
@@ -293,9 +247,7 @@ def _execute(
         if isinstance(plan, ClassicalLeaf):
             result = solve_classical(plan.diagram, freq)
         elif isinstance(plan, Chain):
-            result = solve_chain_k(
-                plan.descriptor, freq, diagram=plan.diagram, config=config
-            )
+            result = solve_chain_k(plan.descriptor, freq, diagram=plan.diagram)
         else:
             assert isinstance(plan, NumericLeaf)
             from .numeric import solve_numeric
@@ -382,6 +334,8 @@ def estimate(
     diagnostics["verdict"] = verdict
     if reduction.zeroed:
         diagnostics["zeroed"] = sorted(reduction.zeroed)
-    return finish_result(
-        diagram, freq, p, route, diagnostics, tol=_tolerance(run, config)
-    )
+    tol = 1e-10
+    if method == "numeric" or verdict == "numeric-only":
+        # A numeric result is only as feasible as the solver's stopping rule.
+        tol = 1e-9 if config is None else max(1e-9, config.kkt_tolerance)
+    return finish_result(diagram, freq, p, route, diagnostics, tol=tol)

@@ -3,10 +3,10 @@
 Recognizes the three structures with known direct estimators, in order
 of preference: horizontal sums (disconnected pieces are independent
 subproblems), products (every operation picks one operation from each
-factor), and chains (operations in a path, consecutive ones sharing a
-single outcome).  Everything else becomes a numeric leaf for the
-general solver.  The result is a recursive plan tree consumed by the
-solver dispatcher.
+factor), and chains of three operations (in a path, consecutive ones
+sharing a single outcome).  Everything else, longer chains included,
+becomes a numeric leaf for the general solver.  The result is a
+recursive plan tree consumed by the solver dispatcher.
 """
 
 from __future__ import annotations
@@ -317,11 +317,12 @@ def build_plan(diagram: GreechieDiagram) -> DecompositionTree:
     """Recursive classification driving solver dispatch.
 
     Components first, then single-edge leaves, then products (preferred
-    over chains: they admit exact rational solutions), then chains, and
-    a numeric leaf otherwise.  Chains with an empty interior block are
-    sent to the numeric leaf as well: their splitting-parameter
-    denominators can vanish at the optimum, while the general solver
-    handles them without special cases.
+    over chains: they admit exact rational solutions), then chains of
+    exactly three operations with a nonempty interior in each, which the
+    quadratic solves, and a numeric leaf otherwise.  Longer chains have
+    no closed form here and go to the general solver; so do chains with
+    an empty interior block, whose splitting-parameter denominators can
+    vanish at the optimum.
     """
     components = connected_components(diagram)
     if len(components) > 1:
@@ -333,9 +334,10 @@ def build_plan(diagram: GreechieDiagram) -> DecompositionTree:
     factors = factor_product(diagram)
     if factors is not None:
         return Product(diagram=diagram, factors=tuple(build_plan(f) for f in factors))
-    chain = detect_chain(diagram)
-    if chain is not None and all(chain.interiors):
-        return Chain(diagram=diagram, descriptor=chain)
+    if len(diagram.operations) == 3:
+        chain = detect_chain(diagram)
+        if chain is not None and all(chain.interiors):
+            return Chain(diagram=diagram, descriptor=chain)
     return NumericLeaf(diagram)
 
 
@@ -380,8 +382,9 @@ def plan_verdict(node: DecompositionTree) -> str:
     """constructible | chain-solvable | numeric-only.
 
     Constructible means the tree bottoms out in classical leaves under
-    sums and products only; a chain anywhere downgrades to
-    chain-solvable, and any numeric leaf to numeric-only.
+    sums and products only; a three-operation chain (the quadratic)
+    anywhere downgrades to chain-solvable, and any numeric leaf, chains
+    of four or more operations included, to numeric-only.
     """
     kinds = {type(leaf) for leaf in plan_leaves(node)}
     if NumericLeaf in kinds:

@@ -390,16 +390,14 @@ class Reduction:
     ``dropped_operations`` lists operations that lost every member; a
     nonempty list makes the estimation problem infeasible (an operation
     with no members cannot reach unit mass) and estimation entry points
-    reject it.  ``collapsed_operations`` lists operations that became
-    duplicates of an earlier one after removal; keeping one copy of the
-    constraint is equivalent.
+    reject it.  An operation that becomes a duplicate of an earlier one
+    after removal is kept once; the two constraints are the same.
     """
 
     diagram: GreechieDiagram
     freq: dict[OutcomeId, int]
     zeroed: frozenset[OutcomeId]
     dropped_operations: tuple[Operation, ...] = ()
-    collapsed_operations: tuple[Operation, ...] = ()
 
 
 def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduction:
@@ -430,18 +428,15 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
     kept_ops: list[Operation] = []
     kept_sets: set[frozenset[OutcomeId]] = set()
     dropped: list[Operation] = []
-    collapsed: list[Operation] = []
     for op in diagram.operations:
         trimmed = tuple(x for x in op if x not in zeroed)
         if not trimmed:
             dropped.append(op)
             continue
         fs = frozenset(trimmed)
-        if fs in kept_sets:
-            collapsed.append(op)
-            continue
-        kept_sets.add(fs)
-        kept_ops.append(trimmed)
+        if fs not in kept_sets:
+            kept_sets.add(fs)
+            kept_ops.append(trimmed)
 
     reduced = GreechieDiagram(outcomes=outcomes, operations=tuple(kept_ops))
     return Reduction(
@@ -449,7 +444,6 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
         freq={x: int(freq[x]) for x in outcomes},
         zeroed=zeroed,
         dropped_operations=tuple(dropped),
-        collapsed_operations=tuple(collapsed),
     )
 
 

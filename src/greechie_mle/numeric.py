@@ -86,8 +86,13 @@ def solve_numeric(
     from lambda_B = n(B) and stops once the largest operation-sum gap is
     below 1e-13, or below kkt_tolerance and no longer falling.  The
     point p = n / sigma is stationary for the returned multipliers
-    (``diagnostics["multipliers"]``) by construction, so its certificate
-    is its worst constraint gap, measured by finish_result.  Raises
+    (``diagnostics["multipliers"]``, in operation order) by
+    construction, so its certificate is its worst constraint gap,
+    measured by finish_result.  The multipliers also split each shared
+    count: operation B receives the share c(y, B) = lambda_B / sigma(y)
+    of n(y), and lambda_B is B's denominator.  On a chain these are the
+    splitting parameters, c_i = lambda_{i+1} / (lambda_i + lambda_{i+1})
+    for the outcome y_i shared by A_i and A_{i+1}.  Raises
     NonConvergence with the last gap when max_sweeps iterations run out,
     or when the line search finds no decrease above the tolerance."""
     config = config or SolverConfig()

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .diagram import FrequencyTable, GreechieDiagram, ProbabilityAssignment
-from .errors import DegeneratePolytope, NonConvergence
+from .errors import DegeneratePolytope
 
 _CHUNK = 4096  # walk points between re-projections
 _WALKERS = 64  # hit-and-run chains advanced together, one numpy step each
@@ -86,21 +86,6 @@ def nullspace_basis(diagram: GreechieDiagram) -> np.ndarray:
         for row_idx, pcol in enumerate(pivot_cols):
             basis[k, pcol] = -float(rows[row_idx][free])
     return basis
-
-
-def interior_point(diagram: GreechieDiagram) -> Optional[dict[str, float]]:
-    """Strictly positive feasible point, or None.
-
-    The numeric solver with every count set to 1 lands strictly inside
-    the polytope whenever it converges; nonconvergence is surfaced as
-    None so callers can treat the diagram as likely infeasible."""
-    from .numeric import solve_numeric
-
-    try:
-        result = solve_numeric(diagram, {x: 1 for x in diagram.outcomes})
-    except NonConvergence:
-        return None
-    return {x: float(v) for x, v in result.p.items()}
 
 
 def _walk_chunks(
@@ -186,7 +171,8 @@ def brute_force_mle(
 ) -> dict[str, float]:
     """Best feasible point the budget can find, never claimed optimal.
 
-    Evaluates the likelihood at every walk sample, keeps the argmax,
+    Evaluates the likelihood, over the outcomes with positive counts as
+    in diagram.log_likelihood, at every walk sample, keeps the argmax,
     then polishes it by bidirectional line probes along each null-space
     basis direction with a shrinking step.  A zero-dimensional polytope
     short-circuits to its unique point."""
@@ -195,11 +181,15 @@ def brute_force_mle(
     budget = budget or OracleBudget()
     outcomes = diagram.outcomes
     counts = np.array([float(freq[x]) for x in outcomes])
+    # Outcomes never observed add nothing to the likelihood; leaving them
+    # out also avoids 0 * log 0 = NaN at walk points on the boundary.
+    observed = np.flatnonzero(counts)
+    counts = counts[observed]
     start = solve_numeric(diagram, {x: 1 for x in outcomes}).p
 
     def loglik(vec: np.ndarray) -> float:
         with np.errstate(divide="ignore"):
-            logs = np.log(vec)
+            logs = np.log(vec[observed])
         return float(np.dot(counts, logs))
 
     best = np.array([float(start[x]) for x in outcomes])
@@ -208,7 +198,7 @@ def brute_force_mle(
     try:
         for chunk in _walk_chunks(diagram, basis, start, budget):
             with np.errstate(divide="ignore"):
-                lls = np.log(chunk) @ counts
+                lls = np.log(chunk[:, observed]) @ counts
             i = int(np.argmax(lls))
             if lls[i] > best_ll:
                 best_ll = float(lls[i])

@@ -1,9 +1,9 @@
 """Reference diagram shapes.
 
 Small named diagrams exercising every structural case the estimators
-distinguish: products, horizontal sums, chains of increasing length,
-and the two cyclic shapes with no closed form (a comb whose spine meets
-three teeth, and a four-cycle of operations).  Tests, demos, and the
+distinguish: products, horizontal sums, three-operation chains, and the
+shapes with no closed form (chains of four and five operations, a comb
+whose spine meets three teeth, and a four-cycle of operations).  Tests, demos, and the
 shipped CLI fixture files all build from here.
 """
 
@@ -52,7 +52,8 @@ def path3_wide() -> GreechieDiagram:
 
 
 def path4() -> GreechieDiagram:
-    """Four operations in a path: three splitting parameters."""
+    """Four operations in a path: a numeric leaf, whose multipliers give
+    its three splitting parameters."""
     return build_diagram(
         ["a1", "a2", "y1", "b", "y2", "c", "y3", "d1", "d2"],
         [
@@ -65,7 +66,7 @@ def path4() -> GreechieDiagram:
 
 
 def path5() -> GreechieDiagram:
-    """Five operations in a path: four splitting parameters."""
+    """Five operations in a path: a numeric leaf, like path4."""
     return build_diagram(
         ["a1", "a2", "y1", "b", "y2", "c", "y3", "d", "y4", "e1", "e2"],
         [
@@ -166,20 +167,24 @@ def chain_path(interior_sizes: Sequence[int]) -> GreechieDiagram:
 
 
 def closed_form_shapes() -> dict[str, GreechieDiagram]:
-    """The shapes every solver route must agree on (no numeric-only)."""
+    """The shapes with a closed-form plan, on which every solver route
+    must agree: products, sums and three-operation chains.  Longer
+    chains are numeric-only and are not among them."""
     return {
         "tennis": tennis(),
         "disjoint_pairs": disjoint_pairs(),
         "path3": path3(),
         "path3_wide": path3_wide(),
-        "path4": path4(),
-        "path5": path5(),
     }
 
 
 def all_shapes() -> dict[str, GreechieDiagram]:
-    """Every reference shape the acceptance suite sweeps."""
-    shapes = closed_form_shapes()
-    shapes["comb"] = comb()
-    shapes["four_cycle"] = four_cycle()
-    return shapes
+    """Every reference shape the acceptance suite sweeps: the closed-form
+    ones, then the numeric-only ones."""
+    return {
+        **closed_form_shapes(),
+        "path4": path4(),
+        "path5": path5(),
+        "comb": comb(),
+        "four_cycle": four_cycle(),
+    }

@@ -21,7 +21,7 @@ from greechie_mle import (
     estimate,
     log_likelihood,
     reduce_zero_counts,
-    solve_chain2,
+    solve_chain_k,
     solve_classical,
     solve_numeric,
 )
@@ -87,12 +87,12 @@ def test_criterion_3_chain_quadratic_closed_form():
         assert abs(float(c) - (np.sqrt(2.0) - 1.0)) < 1e-12
 
     # The quadratic keeps exactly one root in (0, 1) for every positive
-    # count vector; solve_chain2 raises otherwise, so success is proof.
+    # count vector; solve_chain_k raises otherwise, so success is proof.
     chain = detect_chain(diagram)
     rng = np.random.Generator(np.random.Philox(SEED + 3))
     for _ in range(10_000):
         counts = {x: int(rng.integers(1, 1000)) for x in diagram.outcomes}
-        res = solve_chain2(chain, counts, diagram=diagram)
+        res = solve_chain_k(chain, counts, diagram=diagram)
         for c in res.diagnostics["splitting_parameters"]:
             assert 0.0 < c < 1.0
 

@@ -13,7 +13,14 @@ import sys
 
 import pytest
 
-from greechie_mle import InfeasibleEstimate, NonConvergence, cli, diagram
+from greechie_mle import (
+    InfeasibleEstimate,
+    NonConvergence,
+    cli,
+    closed_form,
+    diagram,
+    shapes,
+)
 from greechie_mle.cli import main
 from tests.conftest import FIXTURES, count_calls
 
@@ -96,6 +103,12 @@ class TestClassify:
         assert code == 0
         assert doc["verdict"] == "numeric-only"
 
+    def test_long_chain_is_numeric_only(self, capsys):
+        code, out, _ = run(capsys, "classify", FIXTURES / "path4_unit.json")
+        assert code == 0
+        assert "verdict: numeric-only" in out
+        assert "numeric over operations" in out
+
 
 class TestEstimate:
     def test_exact_document(self, capsys):
@@ -137,6 +150,19 @@ class TestEstimate:
         )
         assert code == 3
         assert "no closed form" in err
+
+    def test_long_chain_has_no_closed_form(self, capsys):
+        # Four operations in a path: only the numeric solver applies.
+        code, _, err = run(
+            capsys, "estimate", FIXTURES / "path4_unit.json", "--method", "closed"
+        )
+        assert code == 3
+        assert "no closed form" in err
+        code, doc, _ = run_json(capsys, "estimate", FIXTURES / "path4_unit.json")
+        assert code == 0
+        assert doc["method"] == "numeric"
+        assert doc["decomposition"]["kind"] == "numeric"
+        assert doc["splitting_parameters"] is None
 
     def test_infeasible_exit(self, capsys):
         code, _, err = run(capsys, "estimate", FIXTURES / "infeasible.json")
@@ -227,11 +253,13 @@ class TestEstimate:
         assert "--tol" in capsys.readouterr().err
 
     def test_self_check_reuses_the_verdict(self, capsys, monkeypatch):
+        # The command plans nothing itself; each of the two estimate
+        # calls reduces the counts once.
         plans = count_calls(monkeypatch, cli, "build_plan")
-        reductions = count_calls(monkeypatch, cli, "reduce_zero_counts")
+        reductions = count_calls(monkeypatch, closed_form, "reduce_zero_counts")
         code, _, _ = run(capsys, "estimate", FIXTURES / "tennis.json", "--self-check")
         assert code == 0
-        assert plans == [] and reductions == []
+        assert plans == [] and len(reductions) == 2
 
     def test_one_cycle_search(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, diagram, "minimum_cycle_length")
@@ -319,6 +347,37 @@ class TestOracleCheck:
         )
         assert code == 5
         assert "FAIL" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_counts_without_warnings(self, capsys, monkeypatch):
+        # The oracle walks the caller's diagram, where p(e) may reach 0
+        # while n(e) = 0; the unobserved outcome adds nothing.  Only
+        # estimate reduces the counts.
+        reductions = count_calls(monkeypatch, closed_form, "reduce_zero_counts")
+        code, out, _ = run(
+            capsys, "oracle-check", FIXTURES / "tennis_zero.json",
+            "--samples", "2000", "--seed", "1",
+        )
+        assert code == 0
+        assert "PASS" in out
+        assert len(reductions) == 1
+
+    @pytest.mark.xfail(strict=True, reason="zero-count reduction (ROADMAP item 2)")
+    def test_zero_count_reduction_optimal(self, capsys, tmp_path):
+        # With n(b) = 0 the best assignment gives b mass 0.31; estimate
+        # drops b and reaches -107.04 against the oracle's -103.87.
+        d = shapes.path5()
+        counts = {"a1": 8, "a2": 6, "y1": 12, "b": 0, "y2": 7, "c": 15,
+                  "y3": 17, "d": 13, "y4": 10, "e1": 13, "e2": 2}
+        path = tmp_path / "path5_b0.json"
+        path.write_text(json.dumps({
+            "outcomes": list(d.outcomes),
+            "operations": [list(op) for op in d.operations],
+            "counts": counts,
+        }))
+        code, out, _ = run(capsys, "oracle-check", path, "--samples", "2000")
+        assert "PASS" in out
+        assert code == 0
 
     def test_estimation_error_exit(self, capsys, monkeypatch):
         def fake(*args, **kwargs):

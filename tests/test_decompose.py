@@ -286,9 +286,12 @@ class TestBuildPlan:
         assert isinstance(plan, Product)
 
     def test_paths_become_chains(self):
-        for make in (shapes.path3, shapes.path3_wide, shapes.path4, shapes.path5):
-            plan = build_plan(make())
-            assert isinstance(plan, Chain)
+        # Only three operations make a chain; longer paths have no closed
+        # form and go to the general solver.
+        for make in (shapes.path3, shapes.path3_wide):
+            assert isinstance(build_plan(make()), Chain)
+        for make in (shapes.path4, shapes.path5):
+            assert isinstance(build_plan(make()), NumericLeaf)
 
     def test_numeric_fallbacks(self):
         for make in (shapes.comb, shapes.four_cycle, shapes.triangle, parity_diagram):

@@ -342,7 +342,6 @@ class TestReduction:
         d = build_diagram(["a", "b", "c"], [["a", "b"], ["a", "c"]])
         red = reduce_zero_counts(d, {"a": 5, "b": 0, "c": 0})
         assert red.diagram.operations == (("a",),)
-        assert red.collapsed_operations == (("a", "c"),)
 
     def test_all_zero_rejected(self):
         d = shapes.disjoint_pairs()

@@ -11,16 +11,21 @@ from greechie_mle import (
     check_probability,
     estimate,
     incidence_matrix,
-    interior_point,
     log_likelihood,
     nullspace_basis,
     sample_feasible,
     shapes,
+    solve_numeric,
 )
 from greechie_mle import oracle
 from tests.conftest import count_calls
 
 SMALL = OracleBudget(sample_count=3000, refine_steps=400, rng_seed=5)
+
+
+def walk_start(d):
+    """The walk start brute_force_mle uses: the MLE for unit counts."""
+    return solve_numeric(d, {x: 1 for x in d.outcomes}).p
 
 
 class TestBudget:
@@ -60,14 +65,13 @@ class TestNullspace:
 class TestInteriorPoint:
     def test_strictly_positive_and_feasible(self):
         for name, d in shapes.all_shapes().items():
-            point = interior_point(d)
-            assert point is not None, name
+            point = walk_start(d)
             assert min(point.values()) > 0.0, name
             assert check_probability(d, point, tol=1e-9), name
 
     def test_uniform_on_symmetric_edge(self):
         d = build_diagram(["a", "b", "c"], [["a", "b", "c"]])
-        point = interior_point(d)
+        point = walk_start(d)
         for v in point.values():
             assert abs(v - 1 / 3) < 1e-9
 
@@ -75,7 +79,7 @@ class TestInteriorPoint:
 class TestSampleFeasible:
     def test_stream_length_and_feasibility(self):
         d = shapes.path3()
-        start = interior_point(d)
+        start = walk_start(d)
         samples = list(sample_feasible(d, start, SMALL))
         assert len(samples) == SMALL.sample_count
         for s in samples[:: len(samples) // 50]:
@@ -83,7 +87,7 @@ class TestSampleFeasible:
 
     def test_deterministic_per_seed(self):
         d = shapes.four_cycle()
-        start = interior_point(d)
+        start = walk_start(d)
         a = list(sample_feasible(d, start, SMALL))
         b = list(sample_feasible(d, start, SMALL))
         assert a == b
@@ -98,7 +102,7 @@ class TestSampleFeasible:
     def test_lockstep_stream_length_and_feasibility(self, count):
         d = shapes.four_cycle()
         budget = OracleBudget(sample_count=count, rng_seed=2)
-        samples = list(sample_feasible(d, interior_point(d), budget))
+        samples = list(sample_feasible(d, walk_start(d), budget))
         assert len(samples) == count
         points = np.array([[s[x] for x in d.outcomes] for s in samples])
         assert points.min() >= 0.0
@@ -106,7 +110,7 @@ class TestSampleFeasible:
 
     def test_lockstep_stream_deterministic_per_seed(self):
         d = shapes.path3()
-        start = interior_point(d)
+        start = walk_start(d)
         budget = OracleBudget(sample_count=oracle._CHUNK + 3, rng_seed=9)
         a = list(sample_feasible(d, start, budget))
         assert a == list(sample_feasible(d, start, budget))
@@ -115,7 +119,7 @@ class TestSampleFeasible:
 
     def test_moves_through_the_region(self):
         d = shapes.tennis()
-        start = interior_point(d)
+        start = walk_start(d)
         samples = list(sample_feasible(d, start, SMALL))
         spread = max(s["e"] for s in samples) - min(s["e"] for s in samples)
         assert spread > 0.5
@@ -123,7 +127,7 @@ class TestSampleFeasible:
     def test_degenerate_polytope(self):
         d = build_diagram(["a"], [["a"]])
         with pytest.raises(DegeneratePolytope) as info:
-            list(sample_feasible(d, interior_point(d), SMALL))
+            list(sample_feasible(d, walk_start(d), SMALL))
         assert abs(info.value.point["a"] - 1.0) < 1e-9
 
 
@@ -149,6 +153,15 @@ class TestBruteForce:
         d = shapes.path3()
         brute_force_mle(d, {x: 3 for x in d.outcomes}, SMALL)
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unobserved_outcomes_left_out(self):
+        # n(e) = 0: walk points with p(e) = 0 must not score 0 * log 0.
+        d = shapes.tennis()
+        freq = {"a": 1, "c": 3, "e": 0, "b": 1, "d": 2}
+        best = brute_force_mle(d, freq, SMALL)
+        assert check_probability(d, best, tol=1e-9)
+        assert log_likelihood(freq, best) >= estimate(d, freq).log_lik - 0.05
 
     def test_degenerate_short_circuit(self):
         d = build_diagram(["a"], [["a"]])

@@ -44,3 +44,17 @@ def test_public_names_listed():
         and name not in greechie_mle.__all__
     ]
     assert unlisted == []
+
+
+def test_all_shapes_names_and_order():
+    # Every benchmark workload draws its shapes from this dict, in order.
+    assert list(greechie_mle.shapes.all_shapes()) == [
+        "tennis",
+        "disjoint_pairs",
+        "path3",
+        "path3_wide",
+        "path4",
+        "path5",
+        "comb",
+        "four_cycle",
+    ]
