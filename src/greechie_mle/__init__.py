@@ -18,7 +18,6 @@ from .closed_form import (
 )
 from .decompose import (
     Chain,
-    ChainDescriptor,
     ClassicalLeaf,
     DecompositionTree,
     HorizontalSum,
@@ -65,7 +64,7 @@ from .errors import (
     UnknownMember,
     ZeroTotal,
 )
-from .numeric import SolverConfig, kkt_residual, solve_numeric
+from .numeric import kkt_residual, solve_numeric
 from .oracle import (
     OracleBudget,
     brute_force_mle,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
-    "ChainDescriptor",
     "ClassicalLeaf",
     "DecompositionTree",
     "DegeneratePolytope",
@@ -105,7 +103,6 @@ __all__ = [
     "OracleBudget",
     "Product",
     "Reduction",
-    "SolverConfig",
     "UncoveredOutcome",
     "UnknownMember",
     "ValidationReport",

@@ -39,7 +39,6 @@ from .diagram import (
     validate_diagram,
 )
 from .errors import DiagramError, EstimationError, GreechieError, NoClosedForm
-from .numeric import SolverConfig
 from .oracle import OracleBudget, brute_force_mle
 from .sampler import OperationPolicy, sample_outcomes
 
@@ -253,11 +252,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     doc, digest = _load_document(args.file)
     diagram = _build_diagram(doc)
     counts = _read_counts(doc, diagram)
-    config = SolverConfig(kkt_tolerance=args.tol)
-    result = estimate(diagram, counts, method=args.method, config=config)
+    result = estimate(diagram, counts, method=args.method, tol=args.tol)
 
     if args.self_check:
-        _self_check(diagram, counts, result, config)
+        _self_check(diagram, counts, result, args.tol)
 
     decimal, exact = _probability_strings(result.p)
     document = {
@@ -286,16 +284,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _self_check(
-    diagram: GreechieDiagram, counts: dict, result, config: SolverConfig
-) -> None:
+def _self_check(diagram: GreechieDiagram, counts: dict, result, tol: float) -> None:
     """Both routes must agree coordinatewise when both exist."""
     if result.diagnostics["verdict"] == "numeric-only" and result.method == "numeric":
         log.info("self-check: only the numeric route exists; nothing to compare")
         return
     other_method = "numeric" if result.method != "numeric" else "auto"
     try:
-        other = estimate(diagram, counts, method=other_method, config=config)
+        other = estimate(diagram, counts, method=other_method, tol=tol)
     except EstimationError as exc:
         raise CliError(EXIT_ESTIMATION, f"self-check solve failed: {exc}") from exc
     worst = max(abs(float(result.p[x]) - float(other.p[x])) for x in diagram.outcomes)
@@ -350,15 +346,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     budget = OracleBudget(sample_count=args.samples, rng_seed=args.seed)
     oracle_best = brute_force_mle(diagram, counts, budget)
 
-    solver_p = dict(result.p)
-    if args.corrupt:
-        # Negative-control hook: damage the solver answer so dominance
-        # must fail if the oracle works.
-        worst = max(counts, key=counts.__getitem__)
-        solver_p[worst] = float(solver_p[worst]) * 0.5
-        log.info("corrupt hook active: halved p(%s)", worst)
-
-    solver_ll = log_likelihood(counts, solver_p)
+    solver_ll = log_likelihood(counts, result.p)
     oracle_ll = log_likelihood(counts, oracle_best)
     passed = solver_ll >= oracle_ll - _DOMINANCE_SLACK
     document = {
@@ -383,6 +371,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -429,14 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw synthetic counts")
     add_common(p_sample)
     p_sample.add_argument("--n", type=_positive_int, required=True)
-    p_sample.add_argument("--seed", type=int, default=1)
+    p_sample.add_argument("--seed", type=_nonnegative_int, default=1)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_oracle = sub.add_parser("oracle-check", help="estimate vs. brute force")
     add_common(p_oracle)
     p_oracle.add_argument("--samples", type=_positive_int, default=100_000)
     p_oracle.add_argument("--seed", type=_positive_int, default=1)
-    p_oracle.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -17,12 +17,12 @@ counts, applies zero-count reduction, builds a plan, dispatches it
 (``_execute`` for leaves, ``_combine`` for sums and products),
 re-inserts the removed outcomes with probability zero, and certifies
 the result once.  The leaf solvers stay public for a single operation
-or a three-operation chain with its diagram.
+or a three-operation chain (a ``Chain`` from ``detect_chain``, which
+carries its diagram).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +30,6 @@ from typing import Optional, Union
 
 from .decompose import (
     Chain,
-    ChainDescriptor,
     ClassicalLeaf,
     DecompositionTree,
     HorizontalSum,
@@ -127,12 +126,7 @@ def solve_classical(diagram: GreechieDiagram, freq: FrequencyTable) -> MleResult
 # --------------------------------------------------------------------- chains
 
 
-def solve_chain_k(
-    chain: ChainDescriptor,
-    freq: FrequencyTable,
-    *,
-    diagram: GreechieDiagram,
-) -> MleResult:
+def solve_chain_k(chain: Chain, freq: FrequencyTable) -> MleResult:
     """A chain of k = 3 operations, two shared outcomes: closed form via
     a quadratic.  This is the only chain solver; the planner sends
     longer chains to the numeric solver.
@@ -153,11 +147,9 @@ def solve_chain_k(
     subtraction, which would keep only a few digits when c_i is within
     1e-8 of 1: 1-c_2 is the unit-interval root of the same quadratic
     in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2)).
-    Raises ValueError unless the chain has three operations, a nonempty
-    interior in each, and positive counts."""
-    if chain.m != 3:
-        raise ValueError("solve_chain_k requires exactly three operations")
-    for x in itertools.chain.from_iterable(chain.edges):
+    Raises ValueError unless every operation has a nonempty interior
+    and every count is positive."""
+    for x in chain.diagram.outcomes:
         if freq[x] <= 0:
             raise ValueError(
                 f"solve_chain_k requires positive counts; {x!r} has {freq[x]}"
@@ -191,7 +183,9 @@ def solve_chain_k(
         "splitting_parameters": [c1, c2],
         "denominators": [d1, d2, d3],
     }
-    return finish_result(diagram, _sub_freq(diagram, freq), p, "chain-closed", diagnostics)
+    return finish_result(
+        chain.diagram, _sub_freq(chain.diagram, freq), p, "chain-closed", diagnostics
+    )
 
 
 def _unit_root(qa: int, qb: int, qc: int) -> float:
@@ -207,17 +201,19 @@ def _unit_root(qa: int, qb: int, qc: int) -> float:
 
 def _stable_quadratic_roots(qa: int, qb: int, qc: int) -> tuple[float, float]:
     """Both real roots of qa x^2 + qb x + qc, avoiding cancellation by
-    computing the larger-magnitude root first.  Callers guarantee a
-    positive discriminant (here qa > 0 > qc forces two real roots)."""
+    computing the larger-magnitude root first.
+
+    Callers guarantee a positive discriminant.  For c_2 it follows from
+    qa > 0 > qc.  The quadratic in u = 1-c_2 has qc = f(1) > 0 instead,
+    but it is the c_2 quadratic reflected by x -> 1-x, and the
+    reflection keeps the discriminant.  So disc > 0 and q != 0 in both:
+    the integer discriminant is exact, and |q| >= sqrt(disc) / 2."""
     disc = qb * qb - 4 * qa * qc
-    assert disc >= 0, "chain quadratic lost its real roots"
     s = math.sqrt(disc)
     if qb >= 0:
         q = -(qb + s) / 2.0
     else:
         q = -(qb - s) / 2.0
-    if q == 0.0:  # qb == 0 and disc == 0
-        return (0.0, 0.0)
     return (q / qa, qc / q)
 
 
@@ -232,27 +228,27 @@ def elimination_c1(b1: int, b2: int, m2: int, c2: Number) -> Number:
 
 
 def _execute(
-    plan: DecompositionTree, freq: FrequencyTable, path: str, config
+    plan: DecompositionTree, freq: FrequencyTable, path: str, tol: float
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """The assignment, route name and diagnostics of one plan node, all
     new objects the caller may change, from counts over exactly the
     node's outcomes.  Leaf solvers certify their own results; composite
     nodes are feasible whenever their children are, and the caller
-    certifies the root.  ``config`` (a SolverConfig, or None for its
-    defaults) goes to every numeric solve.  An error raised below gains
-    a ``node_path`` attribute locating the failing node in the tree."""
+    certifies the root.  ``tol`` goes to every numeric solve.  An error
+    raised below gains a ``node_path`` attribute locating the failing
+    node in the tree."""
     try:
         if isinstance(plan, (HorizontalSum, Product)):
-            return _combine(plan, freq, path, config)
+            return _combine(plan, freq, path, tol)
         if isinstance(plan, ClassicalLeaf):
             result = solve_classical(plan.diagram, freq)
         elif isinstance(plan, Chain):
-            result = solve_chain_k(plan.descriptor, freq, diagram=plan.diagram)
+            result = solve_chain_k(plan, freq)
         else:
             assert isinstance(plan, NumericLeaf)
             from .numeric import solve_numeric
 
-            result = solve_numeric(plan.diagram, freq, config)
+            result = solve_numeric(plan.diagram, freq, tol)
         return result.p, result.method, result.diagnostics
     except Exception as exc:
         if not hasattr(exc, "node_path"):
@@ -261,7 +257,7 @@ def _execute(
 
 
 def _combine(
-    plan: Union[HorizontalSum, Product], freq: FrequencyTable, path: str, config
+    plan: Union[HorizontalSum, Product], freq: FrequencyTable, path: str, tol: float
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """A sum is the union of its children's assignments; a product
     scales each factor's assignment by the factor's share of the total
@@ -280,7 +276,7 @@ def _combine(
     methods: list[str] = []
     for i, (child, w) in enumerate(zip(children, weights)):
         q, method, diagnostics = _execute(
-            child, _sub_freq(child.diagram, freq), f"{path}/{label}[{i}]", config
+            child, _sub_freq(child.diagram, freq), f"{path}/{label}[{i}]", tol
         )
         p.update(q if is_sum else {x: w * v for x, v in q.items()})
         split.extend(diagnostics.get("splitting_parameters", []))
@@ -299,7 +295,7 @@ def estimate(
     diagram: GreechieDiagram,
     freq: FrequencyTable,
     method: str = "auto",
-    config=None,
+    tol: float = 1e-10,
 ) -> MleResult:
     """Full pipeline: validate counts, drop zero-count outcomes, solve
     the reduced problem, and re-insert the dropped outcomes with
@@ -310,13 +306,17 @@ def estimate(
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and
     "numeric" forces the general solver on the whole reduced diagram.
-    ``config`` (a SolverConfig) sets the stopping rules of every numeric
-    solve on each route.  The result is certified once, on ``diagram``.
+    ``tol`` (positive and finite) bounds the worst constraint gap at
+    which every numeric solve may stop, on each route.  The result is
+    certified once, on ``diagram``: its worst constraint gap must stay
+    within 1e-10 on exact routes and max(1e-9, tol) on numeric ones.
     Reduction that empties an operation makes the remaining constraints
     unsatisfiable as stated and raises InfeasibleReduction; an
     assignment that misses the constraints raises InfeasibleEstimate."""
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     reduction = reduce_zero_counts(diagram, freq)
     if reduction.dropped_operations:
         raise InfeasibleReduction(reduction.dropped_operations)
@@ -327,15 +327,15 @@ def estimate(
         culprit = next(leaf for leaf in plan_leaves(plan) if isinstance(leaf, NumericLeaf))
         raise NoClosedForm(culprit.diagram.outcomes)
     run = NumericLeaf(reduction.diagram) if method == "numeric" else plan
-    p, route, diagnostics = _execute(run, reduction.freq, "root", config)
+    p, route, diagnostics = _execute(run, reduction.freq, "root", tol)
     for x in reduction.zeroed:
         p[x] = Fraction(0)
     diagnostics["tree"] = plan_summary(plan)
     diagnostics["verdict"] = verdict
     if reduction.zeroed:
         diagnostics["zeroed"] = sorted(reduction.zeroed)
-    tol = 1e-10
+    bound = 1e-10
     if method == "numeric" or verdict == "numeric-only":
         # A numeric result is only as feasible as the solver's stopping rule.
-        tol = 1e-9 if config is None else max(1e-9, config.kkt_tolerance)
-    return finish_result(diagram, freq, p, route, diagnostics, tol=tol)
+        bound = max(1e-9, tol)
+    return finish_result(diagram, freq, p, route, diagnostics, tol=bound)

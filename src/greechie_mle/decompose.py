@@ -4,9 +4,9 @@ Recognizes the three structures with known direct estimators, in order
 of preference: horizontal sums (disconnected pieces are independent
 subproblems), products (every operation picks one operation from each
 factor), and chains of three operations (in a path, consecutive ones
-sharing a single outcome).  Everything else, longer chains included,
-becomes a numeric leaf for the general solver.  The result is a
-recursive plan tree consumed by the solver dispatcher.
+sharing a single outcome, the ends none).  Everything else, longer
+chains included, becomes a numeric leaf for the general solver.  The
+result is a recursive plan tree consumed by the solver dispatcher.
 """
 
 from __future__ import annotations
@@ -33,25 +33,17 @@ class NumericLeaf:
 
 
 @dataclass(frozen=True)
-class ChainDescriptor:
-    """Operations A_1..A_m in a path; A_i and A_{i+1} share exactly the
-    outcome y_i, non-consecutive operations are disjoint, and the y_i
-    are pairwise distinct.  interiors[i] holds A_i minus its shared
-    outcomes (may be empty for degenerate diagrams)."""
+class Chain:
+    """Three operations A_1, A_2, A_3 in a path: A_1 and A_2 share
+    exactly the outcome shared[0], A_2 and A_3 exactly shared[1], and A_1
+    and A_3 are disjoint.  edges lists the operations in path order and
+    interiors[i] holds A_i minus its shared outcomes (the planner keeps
+    only chains whose interiors are all nonempty)."""
 
+    diagram: GreechieDiagram
     edges: tuple[Operation, ...]
     shared: tuple[OutcomeId, ...]
     interiors: tuple[tuple[OutcomeId, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class Chain:
-    diagram: GreechieDiagram
-    descriptor: ChainDescriptor
 
 
 @dataclass(frozen=True)
@@ -259,58 +251,33 @@ def _factor_diagrams(
     return factors
 
 
-def detect_chain(diagram: GreechieDiagram) -> Optional[ChainDescriptor]:
-    """Recognize a path of operations, or None.
+def detect_chain(diagram: GreechieDiagram) -> Optional[Chain]:
+    """Recognize three operations in a path, or None.
 
-    Requirements: the operation-intersection graph is a simple path,
-    and consecutive operations share exactly one outcome.  Any pair
-    sharing two or more outcomes disqualifies the diagram, and so does
-    an outcome in three operations (they would form a triangle), so each
-    shared outcome joins exactly one consecutive pair and the descriptor
-    invariants follow.  The graph is built from each outcome's list of
-    operations, in time linear in the incidences.
+    Requires exactly three operations, two pairs of which meet in
+    exactly one outcome each while the third pair is disjoint (so no
+    outcome lies in all three).  The path starts at the end operation
+    declared first.  Found from each outcome's list of operations, in
+    time linear in the incidences.
     """
-    m = len(diagram.operations)
-    if m < 2:
+    if len(diagram.operations) != 3:
         return None
-    adj: list[list[int]] = [[] for _ in range(m)]
-    shared_at: dict[tuple[int, int], OutcomeId] = {}
+    shared_at: dict[tuple[int, ...], OutcomeId] = {}
     for y, js in diagram.edges_of.items():
-        if len(js) > 2:
-            return None  # three operations through y: a triangle, not a path
+        if len(js) > 2 or js in shared_at:
+            return None  # y lies in all three, or the pair shares two outcomes
         if len(js) == 2:
-            if js in shared_at:
-                return None  # the pair shares two outcomes
-            i, j = js
-            adj[i].append(j)
-            adj[j].append(i)
             shared_at[js] = y
-
-    degrees = [len(a) for a in adj]
-    if any(d > 2 for d in degrees) or degrees.count(1) != 2:
+    if len(shared_at) != 2:
         return None
-    if sum(degrees) != 2 * (m - 1):
-        return None
-
-    start = min(i for i in range(m) if degrees[i] == 1)
-    order = [start]
-    prev = -1
-    while len(order) < m:
-        nxt = [j for j in adj[order[-1]] if j != prev]
-        if len(nxt) != 1:
-            return None  # disconnected: several path pieces
-        prev = order[-1]
-        order.append(nxt[0])
-
-    shared = tuple(
-        shared_at[(min(a, b), max(a, b))] for a, b in zip(order, order[1:])
+    first, second = shared_at
+    (middle,) = set(first) & set(second)
+    (start, y1), (end, y2) = sorted(
+        (i, y) for js, y in shared_at.items() for i in js if i != middle
     )
-    shared_set = set(shared)
-    edges = tuple(diagram.operations[i] for i in order)
-    interiors = tuple(
-        tuple(x for x in edge if x not in shared_set) for edge in edges
-    )
-    return ChainDescriptor(edges=edges, shared=shared, interiors=interiors)
+    edges = tuple(diagram.operations[i] for i in (start, middle, end))
+    interiors = tuple(tuple(x for x in edge if x not in (y1, y2)) for edge in edges)
+    return Chain(diagram=diagram, edges=edges, shared=(y1, y2), interiors=interiors)
 
 
 def build_plan(diagram: GreechieDiagram) -> DecompositionTree:
@@ -334,10 +301,9 @@ def build_plan(diagram: GreechieDiagram) -> DecompositionTree:
     factors = factor_product(diagram)
     if factors is not None:
         return Product(diagram=diagram, factors=tuple(build_plan(f) for f in factors))
-    if len(diagram.operations) == 3:
-        chain = detect_chain(diagram)
-        if chain is not None and all(chain.interiors):
-            return Chain(diagram=diagram, descriptor=chain)
+    chain = detect_chain(diagram)
+    if chain is not None and all(chain.interiors):
+        return chain
     return NumericLeaf(diagram)
 
 
@@ -354,8 +320,8 @@ def plan_summary(node: DecompositionTree) -> dict:
     if isinstance(node, Chain):
         return {
             "kind": "chain",
-            "operations": [list(op) for op in node.descriptor.edges],
-            "shared": list(node.descriptor.shared),
+            "operations": [list(op) for op in node.edges],
+            "shared": list(node.shared),
         }
     if isinstance(node, HorizontalSum):
         return {

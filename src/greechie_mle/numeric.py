@@ -30,7 +30,6 @@ their sums sigma(x) must stay positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ from .closed_form import MleResult, finish_result
 from .diagram import FrequencyTable, GreechieDiagram, OutcomeId, worst_gap
 from .errors import NonConvergence
 
-# Once the configured tolerance is met, keep iterating down to this gap
+# Once the tolerance is met, keep iterating down to this gap
 # unless the gap stops falling first (it is not monotone while the
 # steps are damped, so this rule only applies below the tolerance).
 _POLISH_GAP = 1e-13
@@ -56,46 +55,31 @@ _MAX_HALVINGS = 60
 # other direction.
 _RIDGE = 1e-14
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rules for the dual Newton iteration.
-
-    kkt_tolerance (positive and finite) bounds the certificate of the
-    returned point, its worst constraint gap; max_sweeps caps the
-    number of Newton iterations."""
-
-    kkt_tolerance: float = 1e-10
-    max_sweeps: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0 < self.kkt_tolerance < math.inf:
-            raise ValueError("kkt_tolerance must be positive and finite")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+# Newton iterations allowed before NonConvergence.
+_MAX_ITERATIONS = 200
 
 
 def solve_numeric(
-    diagram: GreechieDiagram,
-    freq: FrequencyTable,
-    config: Optional[SolverConfig] = None,
+    diagram: GreechieDiagram, freq: FrequencyTable, tol: float = 1e-10
 ) -> MleResult:
     """Damped Newton on the dual to a KKT-certified maximizer.
 
-    Requires positive counts (apply zero-count reduction first).  Starts
-    from lambda_B = n(B) and stops once the largest operation-sum gap is
-    below 1e-13, or below kkt_tolerance and no longer falling.  The
-    point p = n / sigma is stationary for the returned multipliers
-    (``diagnostics["multipliers"]``, in operation order) by
+    Requires positive counts (apply zero-count reduction first) and a
+    positive, finite tol, the bound on the certificate of the returned
+    point.  Starts from lambda_B = n(B) and stops once the largest
+    operation-sum gap is below 1e-13, or below tol and no longer
+    falling.  The point p = n / sigma is stationary for the returned
+    multipliers (``diagnostics["multipliers"]``, in operation order) by
     construction, so its certificate is its worst constraint gap,
     measured by finish_result.  The multipliers also split each shared
     count: operation B receives the share c(y, B) = lambda_B / sigma(y)
     of n(y), and lambda_B is B's denominator.  On a chain these are the
     splitting parameters, c_i = lambda_{i+1} / (lambda_i + lambda_{i+1})
     for the outcome y_i shared by A_i and A_{i+1}.  Raises
-    NonConvergence with the last gap when max_sweeps iterations run out,
-    or when the line search finds no decrease above the tolerance."""
-    config = config or SolverConfig()
+    NonConvergence with the last gap after 200 iterations, or when the
+    line search finds no decrease above the tolerance."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     idx = diagram.outcome_index
     m = len(diagram.operations)
     counts = np.empty(len(idx))
@@ -140,9 +124,9 @@ def solve_numeric(
         log_sigma = np.log(sigma)
         sweep_dual.append(float(lam.sum() - counts @ log_sigma))
         sweep_loglik.append(float(counts @ (log_counts - log_sigma)))
-        if gap <= _POLISH_GAP or prev_gap <= gap <= config.kkt_tolerance:
+        if gap <= _POLISH_GAP or prev_gap <= gap <= tol:
             break
-        if iterations == config.max_sweeps:
+        if iterations == _MAX_ITERATIONS:
             raise NonConvergence(iterations, gap)
         hess = np.bincount(pair_cell, weights=(p / sigma)[pair_out], minlength=m * m)
         hess = hess.reshape(m, m)
@@ -152,7 +136,7 @@ def solve_numeric(
         step = scale * np.linalg.solve(scaled, -scale * grad)
         t = _armijo_step(step, incidence_t(step) / sigma, counts, float(grad @ step))
         if t is None:
-            if gap <= config.kkt_tolerance:
+            if gap <= tol:
                 break
             raise NonConvergence(iterations, gap)
         lam = lam + t * step
@@ -166,9 +150,7 @@ def solve_numeric(
         "sweep_dual": sweep_dual,
         "sweep_loglik": sweep_loglik,
     }
-    return finish_result(
-        diagram, freq, p_map, "numeric", diagnostics, tol=config.kkt_tolerance
-    )
+    return finish_result(diagram, freq, p_map, "numeric", diagnostics, tol=tol)
 
 
 def _armijo_step(

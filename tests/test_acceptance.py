@@ -92,7 +92,7 @@ def test_criterion_3_chain_quadratic_closed_form():
     rng = np.random.Generator(np.random.Philox(SEED + 3))
     for _ in range(10_000):
         counts = {x: int(rng.integers(1, 1000)) for x in diagram.outcomes}
-        res = solve_chain_k(chain, counts, diagram=diagram)
+        res = solve_chain_k(chain, counts)
         for c in res.diagnostics["splitting_parameters"]:
             assert 0.0 < c < 1.0
 

@@ -6,6 +6,8 @@ input, 3 no closed form, 4 no feasible estimate (nonconvergence, an
 infeasible assignment), 5 dominance or self-check failure.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -34,6 +36,41 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
+
+
+def fixture_runs():
+    """[exit code, stdout] of validate, classify and estimate --format
+    json on every fixture, in a fixed order."""
+    runs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        for command in (["validate"], ["classify"], ["estimate", "--format", "json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command[0], str(path)] + command[1:])
+            runs.append([code, out.getvalue()])
+    return runs
+
+
+def test_same_output_under_optimize():
+    # python -O strips assert statements; no result may depend on one.
+    script = (
+        "import json, sys; from tests.test_cli import fixture_runs; "
+        "print(json.dumps([sys.flags.optimize, fixture_runs()]))"
+    )
+    env = dict(os.environ)
+    root = FIXTURES.parent
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    optimize, runs = json.loads(done.stdout)
+    assert optimize == 1
+    assert runs == fixture_runs()
 
 
 class TestValidate:
@@ -215,8 +252,8 @@ class TestEstimate:
         real = cli.estimate
         perturbed = {}
 
-        def fake(diagram, counts, method="auto", config=None):
-            result = real(diagram, counts, method=method, config=config)
+        def fake(diagram, counts, method="auto", tol=1e-10):
+            result = real(diagram, counts, method=method, tol=tol)
             if method == "numeric" and not perturbed:
                 perturbed["done"] = True
                 result.p[diagram.outcomes[0]] = float(result.p[diagram.outcomes[0]]) + 1e-3
@@ -281,6 +318,22 @@ class TestSample:
         assert doc["trials"] == 1000
         assert doc["seed"] == 123
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sample", str(FIXTURES / "sample_tennis.json"), "--n", "10",
+                  "--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_zero_seed(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "sample", FIXTURES / "sample_tennis.json", "--n", "10",
+            "--seed", "0",
+        )
+        assert code == 0
+        assert doc["seed"] == 0
+        assert sum(doc["counts"].values()) == 10
+
     def test_output_feeds_estimate(self, capsys, tmp_path):
         code, doc, _ = run_json(
             capsys, "sample", FIXTURES / "sample_tennis.json", "--n", "5000",
@@ -340,10 +393,20 @@ class TestOracleCheck:
         assert doc["dominance"] is True
         assert doc["solver_loglik"] >= doc["oracle_loglik"] - doc["slack"]
 
-    def test_corrupted_solver_fails(self, capsys):
+    def test_corrupted_solver_fails(self, capsys, monkeypatch):
+        # Negative control: a damaged solver answer must fail dominance.
+        real = cli.estimate
+
+        def fake(diagram, counts, **kwargs):
+            result = real(diagram, counts, **kwargs)
+            worst = max(counts, key=counts.__getitem__)
+            result.p[worst] = float(result.p[worst]) * 0.5
+            return result
+
+        monkeypatch.setattr(cli, "estimate", fake)
         code, out, _ = run(
             capsys, "oracle-check", FIXTURES / "path3_unit.json",
-            "--samples", "2000", "--seed", "11", "--corrupt",
+            "--samples", "2000", "--seed", "11",
         )
         assert code == 5
         assert "FAIL" in out

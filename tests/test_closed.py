@@ -24,7 +24,6 @@ from greechie_mle import (
     NonConvergence,
     InfeasibleReduction,
     Product,
-    SolverConfig,
     ZeroTotal,
     build_diagram,
     build_plan,
@@ -100,7 +99,7 @@ class TestProduct:
 class TestChainQuadratic:
     def test_reference_algebra(self):
         d = shapes.path3()
-        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
+        r = solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes})
         root2 = math.sqrt(2.0)
         assert abs(float(r.p["y1"]) - (3.0 - root2) / 7.0) < 1e-12
         assert abs(float(r.p["y2"]) - (3.0 - root2) / 7.0) < 1e-12
@@ -113,30 +112,31 @@ class TestChainQuadratic:
     def test_interior_block_ratios_constant(self):
         d = shapes.path3()
         freq = {"a1": 4, "a2": 9, "y1": 7, "b": 11, "y2": 3, "c1": 8, "c2": 2}
-        r = solve_chain_k(detect_chain(d), freq, diagram=d)
         chain = detect_chain(d)
+        r = solve_chain_k(chain, freq)
         for interior in chain.interiors:
             ratios = [freq[x] / float(r.p[x]) for x in interior]
             assert max(ratios) - min(ratios) < 1e-9 * max(ratios)
 
     def test_requires_three_operations(self):
+        # A Chain comes only from detect_chain, which finds none in paths
+        # of two, four or five operations.
         for d in (shapes.tennis(), shapes.path4(), shapes.path5()):
-            with pytest.raises(ValueError, match="three operations"):
-                solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
+            assert detect_chain(d) is None
 
     def test_requires_positive_counts(self):
         d = shapes.path3()
         freq = {x: 1 for x in d.outcomes}
         freq["b"] = 0
         with pytest.raises(ValueError, match="positive"):
-            solve_chain_k(detect_chain(d), freq, diagram=d)
+            solve_chain_k(detect_chain(d), freq)
 
     def test_requires_nonempty_interiors(self):
         d = build_diagram(
             ["a", "y1", "y2", "b"], [["a", "y1"], ["y1", "y2"], ["y2", "b"]]
         )
         with pytest.raises(ValueError, match="interior"):
-            solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes}, diagram=d)
+            solve_chain_k(detect_chain(d), {x: 1 for x in d.outcomes})
 
     @given(
         b1=counts_strategy,
@@ -160,7 +160,7 @@ class TestChainQuadratic:
     def test_random_counts_always_solvable(self, values):
         d = shapes.path3()
         freq = dict(zip(d.outcomes, values))
-        r = solve_chain_k(detect_chain(d), freq, diagram=d)
+        r = solve_chain_k(detect_chain(d), freq)
         c1, c2 = r.diagnostics["splitting_parameters"]
         assert 0.0 < c1 < 1.0
         assert 0.0 < c2 < 1.0
@@ -259,16 +259,17 @@ class TestChainGeneral:
         assert abs(c[1] - 1 / 2) < 1e-12
         assert abs(c[2] - 4 / 7) < 1e-12
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 1)
         d = shapes.path5()
         with pytest.raises(NonConvergence) as info:
-            estimate(d, {x: 1 for x in d.outcomes}, config=SolverConfig(max_sweeps=1))
+            estimate(d, {x: 1 for x in d.outcomes})
         assert info.value.iterations == 1
         assert info.value.node_path == "root"
 
 
 class TestExecutePlan:
-    def test_error_carries_node_path(self):
+    def test_error_carries_node_path(self, monkeypatch):
         # A coin beside the four-cycle: the numeric leaf, the sum's second
         # child, cannot converge in one Newton iteration.
         base = shapes.four_cycle()
@@ -277,8 +278,9 @@ class TestExecutePlan:
             [["p", "q"]] + [list(op) for op in base.operations],
         )
         freq = {x: 1 + i for i, x in enumerate(d.outcomes)}
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergence) as info:
-            estimate(d, freq, config=SolverConfig(max_sweeps=1))
+            estimate(d, freq)
         assert info.value.node_path == "root/sum[1]"
 
 
@@ -325,18 +327,18 @@ class TestEstimate:
         worst = max(abs(float(exact.p[x]) - numeric.p[x]) for x in exact.p)
         assert worst < 1e-9
 
-    def test_config_reaches_auto_route(self):
+    def test_config_reaches_auto_route(self, monkeypatch):
         # Skewed counts on which the numeric solver needs 13 iterations:
-        # every route must stop at the configured cap.
+        # every route must stop at the iteration cap.
         d = shapes.four_cycle()
         freq = {
             "k1": 102568457, "m1": 678, "k2": 599, "m2": 8,
             "k3": 89, "m3": 1, "k4": 8, "m4": 5899,
         }
-        config = SolverConfig(max_sweeps=2)
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 2)
         for method in ("numeric", "auto"):
             with pytest.raises(NonConvergence) as info:
-                estimate(d, freq, method=method, config=config)
+                estimate(d, freq, method=method)
             assert info.value.iterations == 2, method
 
     def test_diagnostics_summarize_plan(self):

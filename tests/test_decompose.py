@@ -8,7 +8,6 @@ import pytest
 
 from greechie_mle import (
     Chain,
-    ChainDescriptor,
     ClassicalLeaf,
     GreechieDiagram,
     HorizontalSum,
@@ -53,36 +52,21 @@ def rescan_components(d):
 
 
 def all_pairs_chain(d):
-    """detect_chain with the intersection graph built from every pair of
-    operations: the quadratic reference."""
-    m = len(d.operations)
-    if m < 2:
+    """detect_chain by trying every order of the three operations, with
+    the intersections taken pair by pair: the reference."""
+    if len(d.operations) != 3:
         return None
-    adj = [[] for _ in range(m)]
-    shared_at = {}
-    for i, j in itertools.combinations(range(m), 2):
-        common = d.edge_sets[i] & d.edge_sets[j]
-        if len(common) > 1:
-            return None
-        if common:
-            adj[i].append(j)
-            adj[j].append(i)
-            (shared_at[(i, j)],) = common
-    degrees = [len(a) for a in adj]
-    if any(k > 2 for k in degrees) or degrees.count(1) != 2:
-        return None
-    order = [degrees.index(1)]
-    while len(order) < m:
-        nxt = [j for j in adj[order[-1]] if j not in order]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-    shared = tuple(shared_at[tuple(sorted(p))] for p in zip(order, order[1:]))
-    if len(set(shared)) != len(shared):
-        return None
-    edges = tuple(d.operations[i] for i in order)
-    interiors = tuple(tuple(x for x in e if x not in shared) for e in edges)
-    return ChainDescriptor(edges=edges, shared=shared, interiors=interiors)
+    sets = d.edge_sets
+    for a, b, c in itertools.permutations(range(3)):
+        if a > c or sets[a] & sets[c]:
+            continue
+        left, right = sets[a] & sets[b], sets[b] & sets[c]
+        if len(left) == len(right) == 1:
+            shared = (*left, *right)
+            edges = tuple(d.operations[i] for i in (a, b, c))
+            interiors = tuple(tuple(x for x in e if x not in shared) for e in edges)
+            return Chain(diagram=d, edges=edges, shared=shared, interiors=interiors)
+    return None
 
 
 def all_pairs_non_coexistence_parts(d):
@@ -167,10 +151,22 @@ class TestAgainstQuadraticReferences:
         yield from shapes.all_shapes().values()
 
     def test_detect_chain(self):
+        # Three-operation draws from both generators, for enough chains.
+        rng = random.Random("three operations")
+        extra = []
+        while len(extra) < 300:
+            if rng.random() < 0.5:
+                d = random_linear_diagram(rng, "path")
+            else:
+                d = random_diagram(rng)
+            if len(d.operations) == 3:
+                extra.append(d)
         chains = 0
-        for d in self.cases("chains"):
+        for d in itertools.chain(self.cases("chains"), extra):
             found = detect_chain(d)
             assert found == all_pairs_chain(d), d
+            if len(d.operations) != 3:
+                assert found is None, d
             chains += found is not None
         assert chains > 100
 
@@ -225,37 +221,46 @@ class TestFactorProduct:
 
 class TestDetectChain:
     def test_path3_descriptor(self):
-        chain = detect_chain(shapes.path3())
+        d = shapes.path3()
+        chain = detect_chain(d)
         assert chain is not None
-        assert chain.m == 3
+        assert chain.diagram == d
+        assert chain.edges == d.operations
         assert chain.shared == ("y1", "y2")
         assert chain.interiors == (("a1", "a2"), ("b",), ("c1", "c2"))
+        # Declared middle first: the path starts at the end declared first.
+        d = build_diagram(
+            ["a", "y1", "b", "y2", "c"], [["y1", "b", "y2"], ["c", "y2"], ["a", "y1"]]
+        )
+        chain = detect_chain(d)
+        assert chain.edges == (("c", "y2"), ("y1", "b", "y2"), ("a", "y1"))
+        assert chain.shared == ("y2", "y1")
 
     def test_two_operation_chain(self):
-        chain = detect_chain(shapes.tennis())
-        assert chain is not None
-        assert chain.m == 2
-        assert chain.shared == ("e",)
+        # Two operations sharing one outcome factor as a product.
+        assert detect_chain(shapes.tennis()) is None
 
     def test_rejects_branching_and_cycles(self):
         assert detect_chain(shapes.comb()) is None
         assert detect_chain(shapes.four_cycle()) is None
         assert detect_chain(shapes.triangle()) is None
+        star = build_diagram(["a", "y", "b", "c"], [["a", "y"], ["y", "b"], ["y", "c"]])
+        assert detect_chain(star) is None
 
     def test_rejects_single_operation(self):
         assert detect_chain(build_diagram(["a", "b"], [["a", "b"]])) is None
 
     def test_rejects_disconnected_path_pieces(self):
         d = build_diagram(
-            ["a", "y", "b", "p", "q", "r"],
-            [["a", "y"], ["y", "b"], ["p", "q"], ["q", "r"]],
+            ["a", "y", "b", "p", "q"],
+            [["a", "y"], ["y", "b"], ["p", "q"]],
         )
         assert detect_chain(d) is None
 
     def test_rejects_large_intersection(self):
         d = build_diagram(
-            ["a", "b", "s", "t", "c"],
-            [["a", "s", "t"], ["s", "t", "b", "c"]],
+            ["a", "b", "s", "t", "c", "d"],
+            [["a", "s", "t"], ["s", "t", "b", "c"], ["c", "d"]],
         )
         assert detect_chain(d) is None
 

@@ -5,15 +5,16 @@ descent property: every accepted Newton step passes an Armijo test on
 the exact change of the dual, so the recorded dual values never rise.
 """
 
+import inspect
 import random
 
 import numpy as np
 import pytest
 
 from greechie_mle import (
+    numeric,
     NonConvergence,
     build_diagram,
-    SolverConfig,
     estimate,
     kkt_residual,
     shapes,
@@ -24,22 +25,28 @@ from tests.conftest import random_counts
 
 class TestConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.kkt_tolerance == 1e-10
-        assert cfg.max_sweeps == 200
+        for solver in (estimate, solve_numeric):
+            assert inspect.signature(solver).parameters["tol"].default == 1e-10
+        assert numeric._MAX_ITERATIONS == 200
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(kkt_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(kkt_tolerance=-1e-9)
-        with pytest.raises(ValueError):
-            SolverConfig(max_sweeps=0)
+        d = shapes.four_cycle()
+        freq = {x: 1 for x in d.outcomes}
+        for solver in (estimate, solve_numeric):
+            with pytest.raises(ValueError, match="tol"):
+                solver(d, freq, tol=0.0)
+            with pytest.raises(ValueError, match="tol"):
+                solver(d, freq, tol=-1e-9)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError):
-            SolverConfig(kkt_tolerance=tol)
+        # estimate checks tol on every route, closed ones included.
+        for d in (shapes.tennis(), shapes.four_cycle()):
+            freq = {x: 1 for x in d.outcomes}
+            with pytest.raises(ValueError, match="tol"):
+                estimate(d, freq, tol=tol)
+            with pytest.raises(ValueError, match="tol"):
+                solve_numeric(d, freq, tol=tol)
 
 
 class TestSolveNumeric:
@@ -118,11 +125,12 @@ class TestSolveNumeric:
         assert a.p == b.p
         assert a.diagnostics["sweeps"] == b.diagnostics["sweeps"]
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 1)
         d = shapes.four_cycle()
         freq = {x: 3 + i for i, x in enumerate(d.outcomes)}
         with pytest.raises(NonConvergence) as info:
-            solve_numeric(d, freq, SolverConfig(max_sweeps=1))
+            solve_numeric(d, freq)
         assert info.value.iterations == 1
 
     def test_multipliers_certify_the_point(self):
