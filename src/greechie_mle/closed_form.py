@@ -328,8 +328,9 @@ def estimate(
         raise NoClosedForm(culprit.diagram.outcomes)
     run = NumericLeaf(reduction.diagram) if method == "numeric" else plan
     p, route, diagnostics = _execute(run, reduction.freq, "root", tol)
-    for x in reduction.zeroed:
-        p[x] = Fraction(0)
+    for x in diagram.outcomes:  # declaration order, not the set's
+        if x in reduction.zeroed:
+            p[x] = Fraction(0)
     diagnostics["tree"] = plan_summary(plan)
     diagnostics["verdict"] = verdict
     if reduction.zeroed:

@@ -106,6 +106,14 @@ def random_linear_diagram(
     return build_diagram(outcomes, operations)
 
 
+def cycle_diagram(k: int) -> GreechieDiagram:
+    """A ring of k operations {k_j, m_j, k_(j+1)}."""
+    outcomes = [x for j in range(k) for x in (f"k{j}", f"m{j}")]
+    return build_diagram(
+        outcomes, [[f"k{j}", f"m{j}", f"k{(j + 1) % k}"] for j in range(k)]
+    )
+
+
 def random_diagram(rng: random.Random) -> GreechieDiagram:
     """A seeded random diagram of 2 to 8 operations over at most 8
     outcomes, with no restriction on how many outcomes two share."""

@@ -181,6 +181,34 @@ class TestEstimate:
         assert doc["probabilities_exact"]["e"] == "0/1"
         assert doc["probabilities_exact"]["a"] == "1/4"
 
+    def test_zeroed_order_independent_of_hash_seed(self, tmp_path):
+        # Zero-count outcomes are put back after the others in declaration
+        # order, never in the iteration order of a set.
+        path = tmp_path / "tennis_zeros.json"
+        path.write_text(json.dumps({
+            "outcomes": ["a", "c", "e", "b", "d"],
+            "operations": [["a", "c", "e"], ["b", "d", "e"]],
+            "counts": {"a": 5, "c": 0, "e": 0, "b": 0, "d": 7},
+        }))
+        command = [sys.executable, "-m", "greechie_mle.cli", "estimate", str(path)]
+        outputs = []
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+            done = subprocess.run(
+                command + ["--format", "json"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs == [outputs[0]] * 4
+        doc = json.loads(outputs[0])
+        for key in ("probabilities", "probabilities_exact"):
+            assert list(doc[key]) == ["a", "d", "c", "e", "b"]
+
     def test_no_closed_form_exit(self, capsys):
         code, _, err = run(
             capsys, "estimate", FIXTURES / "parity.json", "--method", "closed"

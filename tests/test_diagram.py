@@ -32,6 +32,7 @@ from greechie_mle import Violation, diagram
 from tests.conftest import (
     LINEAR_KINDS,
     count_calls,
+    cycle_diagram,
     random_diagram,
     random_linear_diagram,
 )
@@ -110,14 +111,6 @@ def first_large_intersection(d):
         if len(d.edge_sets[i] & d.edge_sets[j]) > 1:
             return d.operations[i], d.operations[j]
     return None
-
-
-def cycle_diagram(k):
-    """A ring of k operations {k_j, m_j, k_(j+1)}."""
-    outcomes = [x for j in range(k) for x in (f"k{j}", f"m{j}")]
-    return build_diagram(
-        outcomes, [[f"k{j}", f"m{j}", f"k{(j + 1) % k}"] for j in range(k)]
-    )
 
 
 class TestBuildDiagram:

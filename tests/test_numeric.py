@@ -7,6 +7,7 @@ the exact change of the dual, so the recorded dual values never rise.
 
 import inspect
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from greechie_mle import (
     shapes,
     solve_numeric,
 )
-from tests.conftest import random_counts
+from tests.conftest import count_calls, cycle_diagram, random_counts
 
 
 class TestConfig:
@@ -146,16 +147,22 @@ class TestSolveNumeric:
             assert sigma > 0, x
             assert r.p[x] * sigma / freq[x] == pytest.approx(1.0, abs=1e-12), x
 
-    def test_singular_hessian(self):
-        # The operations of a hexagon of pairs are linearly dependent
-        # (their alternating sum is zero), so the dual is flat along one
-        # direction; the optimum puts 1/2 on every outcome.
-        names = [f"x{i}" for i in range(6)]
-        d = build_diagram(names, [[names[i], names[(i + 1) % 6]] for i in range(6)])
-        r = solve_numeric(d, {x: 1 for x in names})
-        for x in names:
-            assert abs(r.p[x] - 0.5) < 1e-12
-        assert r.residual < 1e-12
+    def test_singular_hessian(self, rng, monkeypatch):
+        # The operations of an even polygon of pairs are linearly
+        # dependent (their alternating sum is zero), so the dual is flat
+        # along one direction; with unit counts the optimum puts 1/2 on
+        # every outcome.  The hexagon takes the dense solve, the 256-gon
+        # the banded one.
+        for k in (6, 256):
+            names = [f"x{i}" for i in range(k)]
+            d = build_diagram(names, [[names[i], names[(i + 1) % k]] for i in range(k)])
+            banded = count_calls(monkeypatch, numeric, "_band_solve")
+            r = solve_numeric(d, {x: 1 for x in d.outcomes})
+            assert bool(banded) == (k == 256)
+            for x in d.outcomes:
+                assert abs(r.p[x] - 0.5) < 1e-12
+            assert r.residual < 1e-12
+            assert solve_numeric(d, random_counts(d, rng, 1, 1000)).residual <= 1e-10
 
     def test_rank_deficient_product_matches_closed(self):
         d = build_diagram(["a", "b", "c", "d"], [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
@@ -164,6 +171,88 @@ class TestSolveNumeric:
         r = solve_numeric(d, freq)
         for x in d.outcomes:
             assert abs(float(exact.p[x]) - r.p[x]) < 1e-12, x
+
+
+class TestBandedSolve:
+    """The Newton system is solved on its band after Cuthill-McKee
+    ordering when the bandwidth is small against the operation count,
+    and densely otherwise; both solves must walk the same iterates."""
+
+    SHAPES = {
+        "chain128": lambda: shapes.chain_path([2] * 128),
+        "cycle128": lambda: cycle_diagram(128),
+        "comb": shapes.comb,
+        "four_cycle": shapes.four_cycle,
+    }
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_dense_and_banded_agree(self, name, rng, monkeypatch):
+        d = self.SHAPES[name]()
+        freq = random_counts(d, rng, 1, 1000)
+        results = []
+        for ratio in (0, 10**9):  # every bandwidth banded, then none
+            monkeypatch.setattr(numeric, "_BAND_RATIO", ratio)
+            banded = count_calls(monkeypatch, numeric, "_band_solve")
+            results.append(solve_numeric(d, freq))
+            assert bool(banded) == (ratio == 0)
+        band, dense = results
+        assert band.diagnostics["sweeps"] == dense.diagnostics["sweeps"]
+        assert max(abs(band.p[x] - dense.p[x]) for x in d.outcomes) < 1e-12
+        assert band.residual <= 1e-10
+
+    def test_bandwidth_rule(self, monkeypatch):
+        # (b + 1) * _BAND_RATIO <= m takes the band: a chain has b = 1 and
+        # a cycle b = 2 after ordering; a star of 200 operations through
+        # one outcome has b = 199, and the reference shapes are too small.
+        star = build_diagram(
+            ["c"] + [f"x{j}" for j in range(200)], [["c", f"x{j}"] for j in range(200)]
+        )
+        cases = [
+            (shapes.chain_path([2] * 64), 1),
+            (cycle_diagram(128), 2),
+            (cycle_diagram(95), None),
+            (star, None),
+            (shapes.comb(), None),
+            (shapes.four_cycle(), None),
+        ]
+        for d, width in cases:
+            banded = count_calls(monkeypatch, numeric, "_band_solve")
+            r = solve_numeric(d, {x: 1 for x in d.outcomes})
+            assert r.residual <= 1e-10
+            widths = {args[0].shape[1] - 1 for args in banded}
+            assert widths == ({width} if width else set()), d.operations[:2]
+
+    def test_sweeps_unchanged(self, rng):
+        # The iteration counts the dense solve needed on these inputs.
+        for d, sweeps in ((shapes.chain_path([2] * 512), 14), (cycle_diagram(512), 10)):
+            r = solve_numeric(d, random_counts(d, rng, 1, 1000))
+            assert r.diagnostics["sweeps"] == sweeps
+            assert r.residual <= 1e-10
+
+    def test_no_positive_feasible_point_is_typed(self, monkeypatch):
+        # {x0}, {x0,x1}, ..., {x126,x127}, {x127} forces x0 = 1, x1 = 0,
+        # and so on: the dual falls without bound along the iterates.
+        names = [f"x{i}" for i in range(128)]
+        d = build_diagram(
+            names, [["x0"]] + [[names[i], names[i + 1]] for i in range(127)] + [["x127"]]
+        )
+        freq = {x: 1 + i % 5 for i, x in enumerate(names)}
+        banded = count_calls(monkeypatch, numeric, "_band_solve")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence) as info:
+                solve_numeric(d, freq)
+        assert info.value.iterations == numeric._MAX_ITERATIONS
+        assert len(banded) == numeric._MAX_ITERATIONS
+
+    def test_band_solve_rejects_bad_diagonal(self):
+        # An iterate reaches sigma(x) = 0, and so an infinite or NaN
+        # Hessian diagonal, only on inputs with no positive feasible
+        # point.  The step must then be NaN, which the line search
+        # rejects as it does the dense solve's, never a ZeroDivisionError.
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            band = np.array([[0.0, 2.0], [1.0, bad], [1.0, 2.0]])
+            assert np.isnan(numeric._band_solve(band, np.ones(3))).all()
 
 
 # Counts from the defect reports that stalled or failed the solvers this

@@ -6,16 +6,20 @@ moved function would otherwise surface only in the traced benchmark
 run, which the test suite does not run.  Likewise every name in
 ``greechie_mle.__all__`` must exist, so a removed export leaves no
 stale name behind, and every public attribute other than a submodule
-must be listed there, so an added export is not left out."""
+must be listed there, so an added export is not left out.  And numpy
+stays the only runtime dependency."""
 
+import ast
 import importlib
+import re
 import runpy
 import types
 from pathlib import Path
 
 import greechie_mle
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_functions_resolve():
@@ -58,3 +62,23 @@ def test_all_shapes_names_and_order():
         "comb",
         "four_cycle",
     ]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # The banded Newton solve is written out in numeric.py; scipy's
+    # banded solvers would add a dependency to save about 30 lines.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    listed = ast.literal_eval(re.search(r"^dependencies = (\[.*\])$", pyproject, re.M)[1])
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in listed] == ["numpy"]
+    importers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in modules):
+                importers.append(path.name)
+    assert importers == []
