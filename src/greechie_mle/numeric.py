@@ -164,36 +164,38 @@ def solve_numeric(
     sweep_loglik: list[float] = []
     iterations = 0
     prev_gap = np.inf
-    while True:
-        sigma = incidence_t(lam)
-        p = counts / sigma
-        grad = 1.0 - np.bincount(ops, weights=p[outs], minlength=m)
-        gap = float(np.abs(grad).max())
-        log_sigma = np.log(sigma)
-        sweep_dual.append(float(lam.sum() - counts @ log_sigma))
-        sweep_loglik.append(float(counts @ (log_counts - log_sigma)))
-        if gap <= _POLISH_GAP or prev_gap <= gap <= tol:
-            break
-        if iterations == _MAX_ITERATIONS:
-            raise NonConvergence(iterations, gap)
-        hess = np.bincount(cells, weights=(p / sigma)[pair_out], minlength=n_cells)
-        if banded:
-            step = np.empty(m)
-            step[order] = _band_solve(hess.reshape(m, width + 1), -grad[order])
-        else:
-            hess = hess.reshape(m, m)
-            scale = 1.0 / np.sqrt(np.diag(hess))
-            scaled = hess * scale[:, None] * scale
-            scaled[np.diag_indices(m)] += _RIDGE
-            step = scale * np.linalg.solve(scaled, -scale * grad)
-        t = _armijo_step(step, incidence_t(step) / sigma, counts, float(grad @ step))
-        if t is None:
-            if gap <= tol:
+    # Inputs with no positive feasible point drive some sigma(x) to <= 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            sigma = incidence_t(lam)
+            p = counts / sigma
+            grad = 1.0 - np.bincount(ops, weights=p[outs], minlength=m)
+            gap = float(np.abs(grad).max())
+            log_sigma = np.log(sigma)
+            sweep_dual.append(float(lam.sum() - counts @ log_sigma))
+            sweep_loglik.append(float(counts @ (log_counts - log_sigma)))
+            if gap <= _POLISH_GAP or prev_gap <= gap <= tol:
                 break
-            raise NonConvergence(iterations, gap)
-        lam = lam + t * step
-        iterations += 1
-        prev_gap = gap
+            if iterations == _MAX_ITERATIONS:
+                raise NonConvergence(iterations, gap)
+            hess = np.bincount(cells, weights=(p / sigma)[pair_out], minlength=n_cells)
+            if banded:
+                step = np.empty(m)
+                step[order] = _band_solve(hess.reshape(m, width + 1), -grad[order])
+            else:
+                hess = hess.reshape(m, m)
+                scale = 1.0 / np.sqrt(np.diag(hess))
+                scaled = hess * scale[:, None] * scale
+                scaled[np.diag_indices(m)] += _RIDGE
+                step = scale * np.linalg.solve(scaled, -scale * grad)
+            t = _armijo_step(step, incidence_t(step) / sigma, counts, float(grad @ step))
+            if t is None:
+                if gap <= tol:
+                    break
+                raise NonConvergence(iterations, gap)
+            lam = lam + t * step
+            iterations += 1
+            prev_gap = gap
 
     p_map = {x: float(p[i]) for x, i in idx.items()}
     diagnostics = {

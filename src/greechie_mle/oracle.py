@@ -1,7 +1,9 @@
 """Independent brute-force verifier.
 
 Samples the feasible polytope {p >= 0, every operation sums to 1} by a
-hit-and-run walk and refines the best sample by line searches, giving a
+hit-and-run walk (Smith, "Efficient Monte Carlo procedures for
+generating points uniformly distributed over bounded regions", Oper.
+Res. 32, 1984) and refines the best sample by line searches, giving a
 reference maximizer that owes nothing to the solvers' algebra.  Results
 are lower-bound certificates only: the solvers must always reach at
 least the oracle's likelihood.
@@ -9,9 +11,11 @@ least the oracle's likelihood.
 The walk needs directions that keep every operation sum unchanged, i.e.
 the null space of the incidence matrix.  The basis is computed once by
 Gaussian elimination in exact rational arithmetic (the matrix is a
-small 0/1 matrix, so exactness is cheap).  The walk runs many chains
-in lockstep, one numpy step for all of them, and re-projects onto the
-constraint set every few thousand points to cancel float drift.
+small 0/1 matrix, so exactness is cheap).  The walk runs _WALKERS =
+512 chains in lockstep as the columns of one (n, _WALKERS) array, so a
+step for all of them is a few whole-array numpy operations, and
+re-projects onto the constraint set after every _CHUNK = 4096 points
+(8 steps) to cancel float drift.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .diagram import FrequencyTable, GreechieDiagram, ProbabilityAssignment
 from .errors import DegeneratePolytope
 
 _CHUNK = 4096  # walk points between re-projections
-_WALKERS = 64  # hit-and-run chains advanced together, one numpy step each
+_WALKERS = 512  # hit-and-run chains advanced together, one column each
 
 
 @dataclass(frozen=True)
@@ -97,23 +101,27 @@ def _walk_chunks(
     """Hit-and-run chunks: (b, n) arrays of walk points.
 
     _WALKERS independent chains start at ``start`` and advance in
-    lockstep.  Each step draws one gaussian direction per walker inside
-    the null space (rows of ``basis``), finds each walker's feasible
-    segment imposed by nonnegativity, and jumps every walker to a
-    uniform point on its segment.  The stream is step-major: the rows of
-    one step, one per walker, then the next step's.  It is deterministic
-    for a given seed, holds exactly budget.sample_count points (the last
-    step is cut short when needed), and re-projects every walker onto
-    the operation sums after each chunk to cancel float drift.  Raises
-    DegeneratePolytope when the null space is trivial: the start is then
-    the only feasible point."""
+    lockstep, one column each of an (n, _WALKERS) array, so every step
+    is a handful of whole-array numpy operations: one gaussian direction
+    per walker inside the null space (``basis.T`` times a (k, _WALKERS)
+    draw), each walker's feasible segment imposed by nonnegativity as a
+    max and a min down its column, and a jump of every walker to a
+    uniform point on its segment.  A chunk of _CHUNK points takes
+    _CHUNK / _WALKERS = 8 steps.  The stream is step-major: the points
+    of one step, one per walker in column order, then the next step's.
+    It is deterministic for a given seed, holds exactly
+    budget.sample_count points (the last step is cut short when
+    needed), and re-projects every walker onto the operation sums after
+    each chunk to cancel float drift.  Raises DegeneratePolytope when
+    the null space is trivial: the start is then the only feasible
+    point."""
     outcomes = diagram.outcomes
     if basis.shape[0] == 0:
         raise DegeneratePolytope({x: start[x] for x in outcomes})
     inc = incidence_matrix(diagram)
     pinv = np.linalg.pinv(inc)
     rng = np.random.Generator(np.random.Philox(budget.rng_seed))
-    walkers = np.tile([float(start[x]) for x in outcomes], (_WALKERS, 1))
+    walkers = np.tile([[float(start[x])] for x in outcomes], (1, _WALKERS))
     k, n = basis.shape
     remaining = budget.sample_count
     while remaining > 0:
@@ -121,28 +129,26 @@ def _walk_chunks(
         steps = -(-b // _WALKERS)
         # Directions need not be normalized: the jump is uniform on the
         # feasible segment, which is invariant under direction scale.
-        directions = rng.standard_normal((steps, _WALKERS, k)) @ basis
+        directions = basis.T @ rng.standard_normal((steps, k, _WALKERS))
         jumps = rng.random((steps, _WALKERS))
         out = np.empty((steps * _WALKERS, n))
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in range(steps):
                 d = directions[s]
                 ratios = -walkers / d
-                pos = d > 1e-14
-                neg = d < -1e-14
                 # A walker with no positive (negative) direction component
                 # gets 0 as its lower (upper) segment end; the masked
                 # ratios are finite, so only such a walker reads +-inf.
-                lo = np.where(pos, ratios, -np.inf).max(axis=1)
-                hi = np.where(neg, ratios, np.inf).min(axis=1)
+                lo = np.where(d > 1e-14, ratios, -np.inf).max(axis=0)
+                hi = np.where(d < -1e-14, ratios, np.inf).min(axis=0)
                 lo[lo == -np.inf] = 0.0
                 hi[hi == np.inf] = 0.0
-                walkers += (lo + jumps[s] * (hi - lo))[:, None] * d
+                walkers += (lo + jumps[s] * (hi - lo)) * d
                 np.clip(walkers, 0.0, 1.0, out=walkers)
-                out[s * _WALKERS : (s + 1) * _WALKERS] = walkers
+                out[s * _WALKERS:(s + 1) * _WALKERS] = walkers.T
         yield out[:b]
         # Cancel accumulated drift before the next chunk.
-        walkers -= (walkers @ inc.T - 1.0) @ pinv.T
+        walkers -= pinv @ (inc @ walkers - 1.0)
         np.clip(walkers, 0.0, 1.0, out=walkers)
         remaining -= b
 
@@ -182,50 +188,50 @@ def brute_force_mle(
     outcomes = diagram.outcomes
     counts = np.array([float(freq[x]) for x in outcomes])
     # Outcomes never observed add nothing to the likelihood; leaving them
-    # out also avoids 0 * log 0 = NaN at walk points on the boundary.
+    # out avoids 0 * log 0 = NaN on the boundary, where the rest score -inf.
     observed = np.flatnonzero(counts)
     counts = counts[observed]
     start = solve_numeric(diagram, {x: 1 for x in outcomes}).p
 
     def loglik(vec: np.ndarray) -> float:
-        with np.errstate(divide="ignore"):
-            logs = np.log(vec[observed])
-        return float(np.dot(counts, logs))
+        return float(np.dot(counts, np.log(vec[observed])))
 
     best = np.array([float(start[x]) for x in outcomes])
-    best_ll = loglik(best)
     basis = nullspace_basis(diagram)
-    try:
-        for chunk in _walk_chunks(diagram, basis, start, budget):
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        best_ll = loglik(best)
+        try:
+            for chunk in _walk_chunks(diagram, basis, start, budget):
                 lls = np.log(chunk[:, observed]) @ counts
-            i = int(np.argmax(lls))
-            if lls[i] > best_ll:
-                best_ll = float(lls[i])
-                best = chunk[i].copy()
-    except DegeneratePolytope as unique:
-        return {x: float(unique.point[x]) for x in outcomes}
+                i = int(np.argmax(lls))
+                if lls[i] > best_ll:
+                    best_ll = float(lls[i])
+                    best = chunk[i].copy()
+        except DegeneratePolytope as unique:
+            return {x: float(unique.point[x]) for x in outcomes}
 
-    norms = np.linalg.norm(basis, axis=1)
-    basis = basis / norms[:, None]
-    step = 0.25
-    for _ in range(budget.refine_steps):
-        improved = False
-        for d in basis:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = -best / d
-            pos = d > 1e-14
-            neg = d < -1e-14
-            lo = float(ratios[pos].max()) if pos.any() else 0.0
-            hi = float(ratios[neg].min()) if neg.any() else 0.0
-            for t in (min(step, hi), max(-step, lo)):
-                cand = np.clip(best + t * d, 0.0, 1.0)
-                ll = loglik(cand)
-                if ll > best_ll:
-                    best_ll, best = ll, cand
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
+        probes = []
+        for d in basis / np.linalg.norm(basis, axis=1)[:, None]:
+            pos, neg = np.flatnonzero(d > 1e-14), np.flatnonzero(d < -1e-14)
+            probes.append((d, pos, d[pos], neg, d[neg]))
+        cand = np.empty_like(best)
+        step = 0.25
+        for _ in range(budget.refine_steps):
+            improved = False
+            for d, pos, d_pos, neg, d_neg in probes:
+                lo = float((-best[pos] / d_pos).max()) if pos.size else 0.0
+                hi = float((-best[neg] / d_neg).min()) if neg.size else 0.0
+                for t in (min(step, hi), max(-step, lo)):
+                    np.multiply(d, t, out=cand)
+                    cand += best
+                    np.clip(cand, 0.0, 1.0, out=cand)
+                    ll = loglik(cand)
+                    if ll > best_ll:
+                        best_ll = ll
+                        best, cand = cand, best
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-12:
+                    break
     return {x: float(v) for x, v in zip(outcomes, best)}

@@ -172,6 +172,33 @@ class TestSolveNumeric:
         for x in d.outcomes:
             assert abs(float(exact.p[x]) - r.p[x]) < 1e-12, x
 
+    def test_no_positive_feasible_point_dense_path_is_quiet(self, monkeypatch):
+        # {o3} forces o3 = 1, so the two operations through o3 leave 0 to
+        # every other outcome and {o1,o0} cannot sum to 1.  The iterates
+        # reach sigma(x) <= 0; the dense solve must report that as
+        # NonConvergence, without numpy warnings.
+        names = [f"o{i}" for i in range(5)]
+        d = build_diagram(
+            names,
+            [
+                ["o4", "o3", "o2", "o0"],
+                ["o1", "o3", "o0", "o2"],
+                ["o1", "o4", "o0"],
+                ["o1", "o0"],
+                ["o1", "o4", "o2", "o0"],
+                ["o3"],
+                ["o2", "o0"],
+            ],
+        )
+        freq = {"o0": 32, "o1": 1, "o2": 4, "o3": 35, "o4": 5}
+        banded = count_calls(monkeypatch, numeric, "_band_solve")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence) as info:
+                estimate(d, freq)
+        assert info.value.iterations == 36
+        assert banded == []
+
 
 class TestBandedSolve:
     """The Newton system is solved on its band after Cuthill-McKee

@@ -18,7 +18,7 @@ from greechie_mle import (
     solve_numeric,
 )
 from greechie_mle import oracle
-from tests.conftest import count_calls
+from tests.conftest import count_calls, random_counts
 
 SMALL = OracleBudget(sample_count=3000, refine_steps=400, rng_seed=5)
 
@@ -97,7 +97,15 @@ class TestSampleFeasible:
 
     @pytest.mark.parametrize(
         "count",
-        [1, oracle._WALKERS - 1, oracle._WALKERS + 1, 4097, 10_001],
+        [
+            1,
+            oracle._WALKERS - 1,
+            oracle._WALKERS + 1,
+            oracle._CHUNK,
+            oracle._CHUNK + oracle._WALKERS,
+            4097,
+            10_001,
+        ],
     )
     def test_lockstep_stream_length_and_feasibility(self, count):
         d = shapes.four_cycle()
@@ -107,6 +115,20 @@ class TestSampleFeasible:
         points = np.array([[s[x] for x in d.outcomes] for s in samples])
         assert points.min() >= 0.0
         assert np.max(np.abs(points @ incidence_matrix(d).T - 1.0)) <= 1e-9
+
+    def test_first_step_walkers_distinct(self):
+        # Each walker is its own column: the first step's points, one per
+        # walker, all leave the start in different directions.  A walker
+        # column aliased or broadcast to another repeats its points, and
+        # one direction shared by all walkers leaves them on one line.
+        d = shapes.four_cycle()
+        start = walk_start(d)
+        budget = OracleBudget(sample_count=oracle._WALKERS, rng_seed=4)
+        first = np.array([[s[x] for x in d.outcomes] for s in sample_feasible(d, start, budget)])
+        origin = np.array([start[x] for x in d.outcomes])
+        assert len(np.unique(first, axis=0)) == oracle._WALKERS
+        assert not (first == origin).all(axis=1).any()
+        assert np.linalg.matrix_rank(first - origin) == len(nullspace_basis(d))
 
     def test_lockstep_stream_deterministic_per_seed(self):
         d = shapes.path3()
@@ -147,6 +169,14 @@ class TestBruteForce:
         best = brute_force_mle(d, freq, budget)
         target = estimate(d, freq)
         assert log_likelihood(freq, best) == pytest.approx(target.log_lik, abs=1e-6)
+
+    def test_default_budget_reaches_optimum_on_every_shape(self, rng):
+        for name, d in shapes.all_shapes().items():
+            freq = random_counts(d, rng, 10, 1000)
+            best = brute_force_mle(d, freq)
+            assert log_likelihood(freq, best) == pytest.approx(
+                estimate(d, freq).log_lik, abs=1e-8
+            ), name
 
     def test_nullspace_computed_once(self, monkeypatch):
         calls = count_calls(monkeypatch, oracle, "nullspace_basis")

@@ -7,10 +7,12 @@ run, which the test suite does not run.  Likewise every name in
 ``greechie_mle.__all__`` must exist, so a removed export leaves no
 stale name behind, and every public attribute other than a submodule
 must be listed there, so an added export is not left out.  And numpy
-stays the only runtime dependency."""
+stays the only runtime dependency, and every BENCH_<n>.json file of
+paired benchmark runs covers the whole benchmark."""
 
 import ast
 import importlib
+import json
 import re
 import runpy
 import types
@@ -82,3 +84,18 @@ def test_numpy_is_the_only_runtime_dependency():
             if any(name.split(".")[0] == "scipy" for name in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_bench_files_name_every_workload():
+    # BENCH_<n>.json, written by tools/bench_pairs.py, pairs parent and
+    # change runs of every workload and end-to-end metric of the benchmark.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = sorted(w["name"] for w in spec["workloads"])
+    metrics = sorted(m["name"] for m in spec["end_to_end"])
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        doc = json.loads(path.read_text())
+        assert sorted(doc["workloads"]) == workloads, path.name
+        for name, result in doc["workloads"].items():
+            assert sorted(result["metrics"]) == metrics, (path.name, name)
