@@ -2,10 +2,11 @@
 
 Every outcome sits in two operations, so no decomposition applies and
 the estimate comes from damped Newton iterations on the dual; "sweeps"
-counts them.  The returned point p = n / sigma is stationary under the
-solver's own multipliers by construction, so its certificate, printed
-after the operation sums, is its worst constraint gap: the largest
-distance of an operation sum from 1 or of a probability from [0, 1].
+counts them.  The returned point is p = n / sigma, with sigma carried
+by the line search, and the printed multipliers reproduce sigma up to
+rounding.  Its certificate, printed after the operation sums, is its
+worst constraint gap: the largest distance of an operation sum from 1
+or of a probability from [0, 1].
 """
 
 import numpy as np

@@ -339,4 +339,8 @@ def estimate(
     if method == "numeric" or verdict == "numeric-only":
         # A numeric result is only as feasible as the solver's stopping rule.
         bound = max(1e-9, tol)
-    return finish_result(diagram, freq, p, route, diagnostics, tol=bound)
+    try:
+        return finish_result(diagram, freq, p, route, diagnostics, tol=bound)
+    except InfeasibleEstimate as exc:
+        exc.node_path = "root"
+        raise

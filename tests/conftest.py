@@ -114,6 +114,13 @@ def cycle_diagram(k: int) -> GreechieDiagram:
     )
 
 
+def pair_ring(k: int) -> GreechieDiagram:
+    """A ring of k operations {x_j, x_(j+1)}; for even k the operations
+    are linearly dependent (their alternating sum is zero)."""
+    names = [f"x{j}" for j in range(k)]
+    return build_diagram(names, [[names[j], names[(j + 1) % k]] for j in range(k)])
+
+
 def random_diagram(rng: random.Random) -> GreechieDiagram:
     """A seeded random diagram of 2 to 8 operations over at most 8
     outcomes, with no restriction on how many outcomes two share."""

@@ -283,6 +283,21 @@ class TestExecutePlan:
             estimate(d, freq)
         assert info.value.node_path == "root/sum[1]"
 
+    def test_final_certificate_error_carries_node_path(self, monkeypatch):
+        # The root's assignment is certified after _execute returns; an
+        # assignment that misses an operation sum fails there, at "root".
+        d = shapes.tennis()
+
+        def off_by_one_sum(plan, freq, path, tol):
+            p = {x: Fraction(1, 3) for x in plan.diagram.outcomes}
+            p["a"] = Fraction(2, 3)  # {a, c, e} sums to 4/3
+            return p, "product", {}
+
+        monkeypatch.setattr(closed_form, "_execute", off_by_one_sum)
+        with pytest.raises(InfeasibleEstimate) as info:
+            estimate(d, {x: 1 for x in d.outcomes})
+        assert info.value.node_path == "root"
+
 
 class TestEstimate:
     def test_motivating_counts_exact(self):

@@ -1,9 +1,4 @@
-"""General solver: convergence, certificates, dual-variable behavior.
-
-The per-iteration dual record doubles as an empirical check of the
-descent property: every accepted Newton step passes an Armijo test on
-the exact change of the dual, so the recorded dual values never rise.
-"""
+"""General solver: convergence, certificates, dual-variable behavior."""
 
 import inspect
 import random
@@ -21,7 +16,7 @@ from greechie_mle import (
     shapes,
     solve_numeric,
 )
-from tests.conftest import count_calls, cycle_diagram, random_counts
+from tests.conftest import count_calls, cycle_diagram, pair_ring, random_counts
 
 
 class TestConfig:
@@ -94,29 +89,30 @@ class TestSolveNumeric:
         assert multipliers[0] < 0.0
         assert r.residual < 1e-10
 
-    def test_sweep_dual_never_increases(self, rng):
-        # Each accepted Newton step decreases the dual objective, so the
-        # recorded dual values must come down iteration over iteration.
-        # The primal surrogate in sweep_loglik carries no such
-        # guarantee: before the iterate is feasible it can overshoot the
-        # optimum and fall back.
-        for d in shapes.all_shapes().values():
-            freq = random_counts(d, rng, low=1, high=200)
-            r = solve_numeric(d, freq)
-            dual = r.diagnostics["sweep_dual"]
-            scale = max(1.0, abs(dual[-1]))
-            for earlier, later in zip(dual, dual[1:]):
-                assert later <= earlier + 1e-12 * scale
+    def test_accepted_steps_decrease_the_dual(self, monkeypatch):
+        # Each accepted Newton step passes an Armijo test on the exact
+        # change of the dual along it, t sum(step) - sum n log1p(t ratio)
+        # with ratio = A^T step / sigma, so that change is negative on
+        # every step the solver takes.  Counts over nine decades make the
+        # full step overshoot, so the test sees the backtracking too.
+        line_search = numeric._armijo_step
+        changes = []
 
-    def test_sweep_records_cover_every_sweep(self):
-        d = shapes.comb()
-        freq = {x: (1 if x.startswith("t") else 100) for x in d.outcomes}
-        r = solve_numeric(d, freq)
-        track = r.diagnostics["sweep_loglik"]
-        # One record at the start point, then one per iteration.
-        assert len(track) == r.diagnostics["sweeps"] + 1
-        assert len(r.diagnostics["sweep_dual"]) == len(track)
-        assert track[-1] == pytest.approx(r.log_lik, abs=1e-9)
+        def recording(step, ratio, counts, slope):
+            t = line_search(step, ratio, counts, slope)
+            if t is not None:
+                changes.append(t * float(step.sum()) - float(counts @ np.log1p(t * ratio)))
+            return t
+
+        monkeypatch.setattr(numeric, "_armijo_step", recording)
+        rng = random.Random("descent")
+        for d in shapes.all_shapes().values():
+            for _ in range(20):
+                changes.clear()
+                freq = {x: int(10 ** rng.uniform(0, 9)) for x in d.outcomes}
+                r = solve_numeric(d, freq)
+                assert len(changes) == r.diagnostics["sweeps"]
+                assert all(change < 0.0 for change in changes), freq
 
     def test_deterministic(self):
         d = shapes.four_cycle()
@@ -154,8 +150,7 @@ class TestSolveNumeric:
         # every outcome.  The hexagon takes the dense solve, the 256-gon
         # the banded one.
         for k in (6, 256):
-            names = [f"x{i}" for i in range(k)]
-            d = build_diagram(names, [[names[i], names[(i + 1) % k]] for i in range(k)])
+            d = pair_ring(k)
             banded = count_calls(monkeypatch, numeric, "_band_solve")
             r = solve_numeric(d, {x: 1 for x in d.outcomes})
             assert bool(banded) == (k == 256)
@@ -175,8 +170,8 @@ class TestSolveNumeric:
     def test_no_positive_feasible_point_dense_path_is_quiet(self, monkeypatch):
         # {o3} forces o3 = 1, so the two operations through o3 leave 0 to
         # every other outcome and {o1,o0} cannot sum to 1.  The iterates
-        # reach sigma(x) <= 0; the dense solve must report that as
-        # NonConvergence, without numpy warnings.
+        # drive some sigma(x) towards 0; the dense solve must report that
+        # as NonConvergence at the iteration cap, without numpy warnings.
         names = [f"o{i}" for i in range(5)]
         d = build_diagram(
             names,
@@ -196,7 +191,7 @@ class TestSolveNumeric:
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence) as info:
                 estimate(d, freq)
-        assert info.value.iterations == 36
+        assert info.value.iterations == numeric._MAX_ITERATIONS
         assert banded == []
 
 
@@ -273,10 +268,9 @@ class TestBandedSolve:
         assert len(banded) == numeric._MAX_ITERATIONS
 
     def test_band_solve_rejects_bad_diagonal(self):
-        # An iterate reaches sigma(x) = 0, and so an infinite or NaN
-        # Hessian diagonal, only on inputs with no positive feasible
-        # point.  The step must then be NaN, which the line search
-        # rejects as it does the dense solve's, never a ZeroDivisionError.
+        # The carried sigma stays positive, so an infinite or NaN Hessian
+        # diagonal needs n / sigma^2 to overflow.  The step must then be
+        # NaN, which the line search rejects, never a ZeroDivisionError.
         for bad in (0.0, -1.0, np.inf, np.nan):
             band = np.array([[0.0, 2.0], [1.0, bad], [1.0, 2.0]])
             assert np.isnan(numeric._band_solve(band, np.ones(3))).all()
@@ -304,7 +298,9 @@ class TestSkewedCounts:
         for op in d.operations:
             assert abs(sum(float(r.p[x]) for x in op) - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("name", ["path3", "path3_wide", "path4", "path5", "four_cycle"])
+    @pytest.mark.parametrize(
+        "name", ["path3", "path3_wide", "path4", "path5", "four_cycle", "comb"]
+    )
     def test_counts_over_nine_decades(self, name):
         d = getattr(shapes, name)()
         rng = random.Random(f"skewed/{name}")
@@ -318,6 +314,24 @@ class TestSkewedCounts:
                     assert abs(sum(float(r.p[x]) for x in op) - 1.0) <= 1e-10, freq
             worst = max(abs(float(auto.p[x]) - numeric.p[x]) for x in d.outcomes)
             assert worst < 1e-8, freq
+
+
+    @pytest.mark.parametrize("k", [64, 256])
+    def test_even_polygon_over_nine_decades(self, k, monkeypatch):
+        # sigma(x_j) = lambda_(j-1) + lambda_j, and the multipliers of a
+        # ring of pairs {x_j, x_(j+1)} are free along the alternating
+        # direction, so they grow large against the sums the solver needs.
+        # The 64-gon takes the dense solve, the 256-gon the band.
+        d = pair_ring(k)
+        rng = random.Random(f"skewed/polygon{k}")
+        banded = count_calls(monkeypatch, numeric, "_band_solve")
+        for _ in range(5):
+            freq = {x: int(10 ** rng.uniform(0, 9)) for x in d.outcomes}
+            r = solve_numeric(d, freq)
+            assert r.residual <= 1e-10, freq
+            for op in d.operations:
+                assert abs(r.p[op[0]] + r.p[op[1]] - 1.0) <= 1e-10, freq
+        assert bool(banded) == (k == 256)
 
 
 class TestKktResidual:
