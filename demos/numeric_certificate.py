@@ -1,12 +1,12 @@
 """The four-cycle has no closed form; the dual solver certifies it.
 
 Every outcome sits in two operations, so no decomposition applies and
-the estimate comes from damped Newton iterations on the dual; "sweeps"
-counts them.  The returned point is p = n / sigma, with sigma carried
-by the line search, and the printed multipliers reproduce sigma up to
-rounding.  Its certificate, printed after the operation sums, is its
-worst constraint gap: the largest distance of an operation sum from 1
-or of a probability from [0, 1].
+the estimate comes from primal-dual Newton iterations; "sweeps" counts
+them.  They stop once p(x) sigma(x) = n(x), where sigma(x) sums the
+printed multipliers of the operations containing x, and every operation
+sum is 1, both to 1e-13.  The certificate, printed after the operation
+sums, is the worst constraint gap: the largest distance of an operation
+sum from 1 or of a probability from [0, 1].
 """
 
 import numpy as np

@@ -306,8 +306,8 @@ def estimate(
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and
     "numeric" forces the general solver on the whole reduced diagram.
-    ``tol`` (positive and finite) bounds the worst constraint gap at
-    which every numeric solve may stop, on each route.  The result is
+    ``tol`` (positive and finite) bounds the worst constraint gap that
+    each numeric solve certifies, on every route.  The result is
     certified once, on ``diagram``: its worst constraint gap must stay
     within 1e-10 on exact routes and max(1e-9, tol) on numeric ones.
     Reduction that empties an operation makes the remaining constraints

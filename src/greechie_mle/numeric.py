@@ -1,27 +1,30 @@
-"""General concave MLE solver: damped Newton on the dual.
+"""General concave MLE solver: primal-dual Newton iterations.
 
 Maximizes sum_x n(x) ln p(x) over per-operation normalization and
 nonnegativity, for any valid diagram.  Stationarity of the Lagrangian
-gives p(x) = n(x) / sigma(x), where sigma(x) = sum_{B containing x}
-lambda_B sums one multiplier per operation.  The multipliers minimize
-the convex dual
+gives p(x) sigma(x) = n(x), where sigma(x) = sum_{B containing x}
+lambda_B sums one multiplier per operation, and feasibility gives
+A p = 1 for the operation-outcome incidence A.  The multipliers
+minimize the convex dual
 
-    g(lambda) = sum_B lambda_B - sum_x n(x) ln sigma(x),   sigma > 0,
+    g(lambda) = sum_B lambda_B - sum_x n(x) ln sigma(x),   sigma > 0.
 
-whose gradient 1 - sum_{x in B} p(x) is the operation-sum gap of the
-implied primal point and whose Hessian is A diag(n / sigma^2) A^T for
-the operation-outcome incidence A.  sigma is formed once and then
-carried: each accepted step of length t scales it by 1 + t A^T step /
-sigma, which the line search keeps positive.  Summing multipliers of
-size ~1e8 and opposite signs afresh (the comb's spine against its teeth,
-an even polygon of pairs) would stall at the rounding of that sum.
+The solver keeps p, lambda and sigma = A^T lambda as separate arrays
+and applies Newton's method to the two equations p sigma = n and
+A p = 1.  With r1 = n - p sigma and r2 = 1 - A p, each iteration solves
 
-Each iteration solves the Newton system for H + _RIDGE diag(H) and
-backtracks (Armijo) on the exact change of g along the step, written
-through log1p.  g itself is about 1e10 at large counts, so differences
-of g would be lost to rounding.  Steps that make some sigma(x)
-nonpositive are rejected.  See Boyd & Vandenberghe, Convex
-Optimization, section 9.5.
+    A diag(p / sigma) A^T dlambda = A (r1 / sigma) - r2
+
+for H + _RIDGE diag(H), H the matrix on the left, then sets dsigma =
+A^T dlambda and dp = (r1 - p dsigma) / sigma.  At p = n / sigma, where
+the iteration starts, H is the dual's Hessian and dlambda its Newton
+step.  p steps by one length, lambda and sigma by another; each is the
+fraction-to-the-boundary rule, min(1, 0.99 times the longest step that
+keeps that array positive).  sigma is then summed afresh from lambda
+wherever that sum has no cancellation, and kept as stepped where
+multipliers of opposite sign nearly cancel.  See Nocedal & Wright,
+Numerical Optimization, 2nd ed., section 19.2, and S. J. Wright,
+Primal-Dual Interior-Point Methods (SIAM, 1997).
 
 H[j, k] is nonzero only where operations j and k share an outcome.
 Once per call the operations are put in Cuthill-McKee order (Cuthill &
@@ -44,7 +47,7 @@ their sums sigma(x) must stay positive.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -52,15 +55,9 @@ from .closed_form import MleResult, finish_result
 from .diagram import FrequencyTable, GreechieDiagram, OutcomeId, worst_gap
 from .errors import NonConvergence
 
-# Once the tolerance is met, keep iterating down to this gap
-# unless the gap stops falling first (it is not monotone while the
-# steps are damped, so this rule only applies below the tolerance).
-_POLISH_GAP = 1e-13
-
-# Armijo sufficient-decrease fraction, and the step halvings allowed
-# before the line search gives up at the rounding floor.
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 60
+# The iteration stops once the largest operation-sum gap and the largest
+# relative stationarity residual |n - p sigma| / n are both this small.
+_STOP_GAP = 1e-13
 
 # The Newton matrix is H + _RIDGE diag(H), _RIDGE on the unit diagonal
 # of the equilibrated matrix.  When operations' incidence rows are
@@ -81,27 +78,29 @@ _MAX_ITERATIONS = 200
 def solve_numeric(
     diagram: GreechieDiagram, freq: FrequencyTable, tol: float = 1e-10
 ) -> MleResult:
-    """Damped Newton on the dual to a KKT-certified maximizer.
+    """Primal-dual Newton iterations to a KKT-certified maximizer.
 
     Requires positive counts (apply zero-count reduction first) and a
     positive, finite tol, the bound on the certificate of the returned
-    point.  Starts from lambda_B = n(B) and stops once the largest
-    operation-sum gap is below 1e-13, or below tol and no longer
-    falling.  The point is p = n / sigma, with sigma carried by the line
-    search; A^T lambda for the returned multipliers
-    (``diagnostics["multipliers"]``, in operation order) reproduces it up
-    to the rounding the steps leave in sigma: |p (A^T lambda) / n - 1|
-    was at most 3e-14 over seeded counts up to 1000, and 1e-8 on the
-    comb, 7e-8 on long cycles and 1e-6 on even polygons of pairs over
-    counts spread across nine decades.  The certificate is the worst
-    constraint gap, measured by finish_result.  The multipliers also
-    split each shared count: operation B receives the share c(y, B) =
-    lambda_B / sigma(y) of n(y), and lambda_B is B's denominator.  On a
-    chain these are the splitting parameters, c_i = lambda_{i+1} /
-    (lambda_i + lambda_{i+1}) for the outcome y_i shared by A_i and
-    A_{i+1}.  Raises NonConvergence with the last gap after 200
-    iterations, or when the line search finds no decrease above the
-    tolerance.
+    point; tol plays no part in the iteration.  Starts from lambda_B =
+    n(B) and p = n / sigma, and stops once the largest operation-sum gap
+    |1 - A p| and the largest stationarity residual |n - p sigma| / n
+    are both at most 1e-13.  A^T lambda for the returned multipliers
+    (``diagnostics["multipliers"]``, in operation order) reproduces
+    n / p: over seeded inputs |p (A^T lambda) / n - 1| was at most
+    1e-13 at counts up to 1000 and, at counts spread across nine
+    decades, on chains and cycles of up to 2048 operations.  Where
+    multipliers of size ~1e9 and opposite sign cancel to a sigma near 1,
+    a few units in their last place already move sigma by 1e-7: there
+    it was 1.4e-8 on the comb and 7e-7 on even polygons of pairs, with
+    A^T lambda summed exactly.  The certificate is the
+    worst constraint gap, measured by finish_result.  The multipliers
+    also split each shared count: operation B receives the share
+    c(y, B) = lambda_B / sigma(y) of n(y), and lambda_B is B's
+    denominator.  On a chain these are the splitting parameters, c_i =
+    lambda_{i+1} / (lambda_i + lambda_{i+1}) for the outcome y_i shared
+    by A_i and A_{i+1}.  Raises NonConvergence with the last gap after
+    200 iterations, or before taking a Newton step that is not finite.
 
     The Newton system of m operations is solved on its band when the
     Hessian's bandwidth b after ordering satisfies (b + 1) * 32 <= m,
@@ -161,38 +160,50 @@ def solve_numeric(
     def incidence_t(lam: np.ndarray) -> np.ndarray:  # A^T lam
         return np.bincount(outs, weights=lam[ops], minlength=n_out)
 
-    lam = np.bincount(ops, weights=counts[outs], minlength=m)
-    sigma = incidence_t(lam)  # once; then carried by the steps
+    def op_sums(v: np.ndarray) -> np.ndarray:  # A v
+        return np.bincount(ops, weights=v[outs], minlength=m)
+
+    lam = op_sums(counts)
+    sigma = incidence_t(lam)
+    p = counts / sigma
     iterations = 0
-    prev_gap = np.inf
     while True:
-        p = counts / sigma
-        grad = 1.0 - np.bincount(ops, weights=p[outs], minlength=m)
-        gap = float(np.abs(grad).max())
-        if gap <= _POLISH_GAP or prev_gap <= gap <= tol:
+        r1 = counts - p * sigma
+        r2 = 1.0 - op_sums(p)
+        gap = float(max(np.abs(r2).max(), np.abs(r1 / counts).max()))
+        if gap <= _STOP_GAP:
             break
         if iterations == _MAX_ITERATIONS:
             raise NonConvergence(iterations, gap)
         hess = np.bincount(cells, weights=(p / sigma)[pair_out], minlength=n_cells)
+        rhs = op_sums(r1 / sigma) - r2
         if banded:
-            step = np.empty(m)
-            step[order] = _band_solve(hess.reshape(m, width + 1), -grad[order])
+            dlam = np.empty(m)
+            dlam[order] = _band_solve(hess.reshape(m, width + 1), rhs[order])
         else:
             hess = hess.reshape(m, m)
             scale = 1.0 / np.sqrt(np.diag(hess))
             scaled = hess * scale[:, None] * scale
             scaled[np.diag_indices(m)] += _RIDGE
-            step = scale * np.linalg.solve(scaled, -scale * grad)
-        ratio = incidence_t(step) / sigma
-        t = _armijo_step(step, ratio, counts, float(grad @ step))
-        if t is None:
-            if gap <= tol:
-                break
+            dlam = scale * np.linalg.solve(scaled, scale * rhs)
+        if not np.isfinite(dlam).all():
             raise NonConvergence(iterations, gap)
-        lam = lam + t * step
-        sigma = sigma * (1.0 + t * ratio)
+        dsigma = incidence_t(dlam)
+        dp = (r1 - p * dsigma) / sigma
+        p = p + _boundary_step(p, dp) * dp
+        step = _boundary_step(sigma, dsigma)
+        lam = lam + step * dlam
+        sigma = sigma + step * dsigma
+        # Re-sum sigma from the multipliers where no cancellation can
+        # cost digits, and carry it only where multipliers of opposite
+        # sign nearly cancel (the comb's spine against its teeth, an
+        # even polygon of pairs).  A sigma carried everywhere keeps the
+        # rounding of the large early steps: on a skewed 512-cycle the
+        # solve then stops 3e-11 from the optimum.
+        fresh = incidence_t(lam)
+        exact = incidence_t(np.abs(lam)) <= 2.0 * fresh
+        sigma[exact] = fresh[exact]
         iterations += 1
-        prev_gap = gap
 
     p_map = {x: float(p[i]) for x, i in idx.items()}
     diagnostics = {"sweeps": iterations, "multipliers": lam.tolist()}
@@ -234,9 +245,9 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     H must be positive semidefinite.  Each pivot is floored at _RIDGE
     H_ii, the least value it takes in exact arithmetic, so that rounding
     on a singular H can neither zero nor flip it.  A diagonal entry that
-    is not positive and finite, which the carried sigma > 0 reaches only
-    if n / sigma^2 overflows, gives a NaN step, which the line search
-    rejects."""
+    is not positive and finite, which p > 0 and sigma > 0 reach only if
+    p / sigma underflows or overflows, gives a NaN step, on which
+    solve_numeric stops."""
     m, w = band.shape[0], band.shape[1] - 1
     diag = band[:, w]
     if not ((diag > 0) & (diag < math.inf)).all():
@@ -275,24 +286,11 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(x)
 
 
-def _armijo_step(
-    step: np.ndarray, ratio: np.ndarray, counts: np.ndarray, slope: float
-) -> Optional[float]:
-    """Backtracking length along ``step``, or None at the rounding floor.
-
-    ``ratio`` is A^T step / sigma, so the change of the dual at length t
-    is t sum(step) - sum n log1p(t ratio), which stays accurate however
-    large g is.  ``slope`` is the directional derivative grad . step."""
-    total = float(step.sum())
-    lowest = float(ratio.min())
-    t = 1.0
-    for _ in range(_MAX_HALVINGS):
-        if t * lowest > -1.0:
-            change = t * total - float(counts @ np.log1p(t * ratio))
-            if change <= _ARMIJO * t * slope:
-                return t
-        t *= 0.5
-    return None
+def _boundary_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """min(1, 0.99 times the longest step along dv that keeps v > 0):
+    the fraction-to-the-boundary rule."""
+    lowest = float((dv / v).min())
+    return 1.0 if lowest >= -0.99 else -0.99 / lowest
 
 
 def kkt_residual(
