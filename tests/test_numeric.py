@@ -236,11 +236,14 @@ class TestBandedSolve:
 
     def test_sweeps_unchanged(self, rng, monkeypatch):
         # The iteration counts of both solves on these inputs.
+        default = numeric._BAND_RATIO
         for d, sweeps in ((shapes.chain_path([2] * 512), 6), (cycle_diagram(512), 7)):
             freq = random_counts(d, rng, 1, 1000)
-            for ratio in (numeric._BAND_RATIO, 10**9):  # banded, then dense
+            for ratio in (default, 10**9):  # banded, then dense
                 monkeypatch.setattr(numeric, "_BAND_RATIO", ratio)
+                banded = count_calls(monkeypatch, numeric, "_band_solve")
                 r = solve_numeric(d, freq)
+                assert bool(banded) == (ratio == default)
                 assert r.diagnostics["sweeps"] == sweeps
                 assert r.residual <= 1e-10
 
@@ -335,7 +338,8 @@ class TestSkewedCounts:
         draws = [{x: int(10 ** rng.uniform(0, 9)) for x in d.outcomes} for _ in range(5)]
         if k == 256:
             moderate = random.Random("ring256")
-            draws.append([{x: moderate.randint(1, 1000) for x in d.outcomes} for _ in range(2)][-1])
+            [moderate.randint(1, 1000) for x in d.outcomes]  # skip the first draw
+            draws.append({x: moderate.randint(1, 1000) for x in d.outcomes})
         banded = count_calls(monkeypatch, numeric, "_band_solve")
         for freq in draws:
             r = solve_numeric(d, freq)
