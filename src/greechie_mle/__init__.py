@@ -59,7 +59,6 @@ from .errors import (
     IntersectionTooLarge,
     NoClosedForm,
     NonConvergence,
-    NoRootInUnitInterval,
     UncoveredOutcome,
     UnknownMember,
     ZeroTotal,
@@ -96,7 +95,6 @@ __all__ = [
     "IntersectionTooLarge",
     "MleResult",
     "NoClosedForm",
-    "NoRootInUnitInterval",
     "NonConvergence",
     "NumericLeaf",
     "OperationPolicy",

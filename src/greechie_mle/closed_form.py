@@ -13,12 +13,12 @@ stay rational wherever the solution is a rational function of the
 counts; chain roots are algebraic irrationals and use floating point.
 
 ``estimate`` is the only way into the plan executor: it validates
-counts, applies zero-count reduction, builds a plan, dispatches it
-(``_execute`` for leaves, ``_combine`` for sums and products),
-re-inserts the removed outcomes with probability zero, and certifies
-the result once.  The leaf solvers stay public for a single operation
-or a three-operation chain (a ``Chain`` from ``detect_chain``, which
-carries its diagram).
+counts, applies zero-count reduction where it is certified, builds a
+plan, dispatches it (``_execute`` for leaves, ``_combine`` for sums and
+products), re-inserts the removed outcomes with probability zero, and
+certifies the result once.  The leaf solvers stay public for a single
+operation or a three-operation chain (a ``Chain`` from
+``detect_chain``, which carries its diagram).
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ from .diagram import (
 )
 from .errors import (
     InfeasibleEstimate,
-    InfeasibleReduction,
     NoClosedForm,
-    NoRootInUnitInterval,
     ZeroTotal,
 )
 
@@ -139,14 +137,15 @@ def solve_chain_k(chain: Chain, freq: FrequencyTable) -> MleResult:
     probability gives (1-c_1)/D_1 = c_1/D_2 and (1-c_2)/D_3 = c_2/D_2;
     eliminating c_1 = (n(B_2) + c_2 n(y_2)) / (n(B_1) + n(B_2) + c_2 n(y_2))
     leaves one quadratic in c_2.  Its constant coefficient is strictly
-    negative and its leading coefficient strictly positive, so exactly
-    one root is positive, and strict concavity of the likelihood puts it
-    in (0, 1).
+    negative and its leading coefficient strictly positive, so c_2 is
+    its one positive root, and strict concavity of the likelihood puts
+    it in (0, 1).
 
     The complements 1-c_i are computed directly rather than by
     subtraction, which would keep only a few digits when c_i is within
-    1e-8 of 1: 1-c_2 is the unit-interval root of the same quadratic
-    in u = 1-c_2, and 1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2)).
+    1e-8 of 1: 1-c_2 is the smaller root of the same quadratic in
+    u = 1-c_2, whose other root is 1 minus the negative c_2 root, and
+    1-c_1 = n(B_1) / (n(B_1) + n(B_2) + c_2 n(y_2)).
     Raises ValueError unless every operation has a nonempty interior
     and every count is positive."""
     for x in chain.diagram.outcomes:
@@ -163,8 +162,8 @@ def solve_chain_k(chain: Chain, freq: FrequencyTable) -> MleResult:
     qa = m2 * (b2 + m1 + b3)
     qb = b2 * (b1 + b2 + m1) + b3 * (b1 + b2) - m2 * (b2 + m1)
     qc = -b2 * (b1 + b2 + m1)
-    c2 = _unit_root(qa, qb, qc)
-    u2 = _unit_root(qa, -(2 * qa + qb), qa + qb + qc)
+    c2 = max(_stable_quadratic_roots(qa, qb, qc))
+    u2 = min(_stable_quadratic_roots(qa, -(2 * qa + qb), qa + qb + qc))
     c1 = elimination_c1(b1, b2, m2, c2)
     u1 = b1 / (b1 + b2 + c2 * m2)
 
@@ -186,17 +185,6 @@ def solve_chain_k(chain: Chain, freq: FrequencyTable) -> MleResult:
     return finish_result(
         chain.diagram, _sub_freq(chain.diagram, freq), p, "chain-closed", diagnostics
     )
-
-
-def _unit_root(qa: int, qb: int, qc: int) -> float:
-    """The one root of qa x^2 + qb x + qc in (0, 1)."""
-    roots = _stable_quadratic_roots(qa, qb, qc)
-    inside = [r for r in roots if 0.0 < r < 1.0]
-    if len(inside) == 2 and abs(inside[0] - inside[1]) <= 1e-14:
-        inside = inside[:1]
-    if len(inside) != 1:
-        raise NoRootInUnitInterval(tuple(roots))
-    return inside[0]
 
 
 def _stable_quadratic_roots(qa: int, qb: int, qc: int) -> tuple[float, float]:
@@ -261,8 +249,8 @@ def _combine(
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """A sum is the union of its children's assignments; a product
     scales each factor's assignment by the factor's share of the total
-    count.  The counts are positive after zero-count reduction, so no
-    total is zero.  A product operation sums to sum_i w_i (factor i's
+    count.  Plans are built only on positive counts, so no total is
+    zero.  A product operation sums to sum_i w_i (factor i's
     operation sum) with sum_i w_i = 1, so no check is needed here beyond
     the children's."""
     is_sum = isinstance(plan, HorizontalSum)
@@ -297,11 +285,12 @@ def estimate(
     method: str = "auto",
     tol: float = 1e-10,
 ) -> MleResult:
-    """Full pipeline: validate counts, drop zero-count outcomes, solve
-    the reduced problem, and re-insert the dropped outcomes with
-    probability zero.  That maximizes the likelihood only when every
-    dropped outcome's multiplier sum stays nonnegative at the reduced
-    solution; reduce_zero_counts does not check this yet.
+    """Full pipeline: validate counts, drop the zero-count outcomes
+    where reduce_zero_counts certifies that optimal, solve, and
+    re-insert the dropped outcomes with probability zero.  Counts that
+    still hold a zero after reduction go whole to the general solver, a
+    single numeric leaf, which gives unobserved outcomes the
+    probabilities the maximizer needs.
 
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and
@@ -310,18 +299,17 @@ def estimate(
     each numeric solve certifies, on every route.  The result is
     certified once, on ``diagram``: its worst constraint gap must stay
     within 1e-10 on exact routes and max(1e-9, tol) on numeric ones.
-    Reduction that empties an operation makes the remaining constraints
-    unsatisfiable as stated and raises InfeasibleReduction; an
-    assignment that misses the constraints raises InfeasibleEstimate."""
+    An operation without an observed outcome raises InfeasibleReduction;
+    an assignment that misses the constraints raises InfeasibleEstimate."""
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     reduction = reduce_zero_counts(diagram, freq)
-    if reduction.dropped_operations:
-        raise InfeasibleReduction(reduction.dropped_operations)
-
-    plan = build_plan(reduction.diagram)
+    if 0 in reduction.freq.values():  # no certificate for the reduction
+        plan: DecompositionTree = NumericLeaf(reduction.diagram)
+    else:
+        plan = build_plan(reduction.diagram)
     verdict = plan_verdict(plan)
     if method == "closed" and verdict == "numeric-only":
         culprit = next(leaf for leaf in plan_leaves(plan) if isinstance(leaf, NumericLeaf))

@@ -25,6 +25,7 @@ from .errors import (
     DuplicateOutcome,
     EmptyAfterReduction,
     EmptyEdge,
+    InfeasibleReduction,
     IntersectionTooLarge,
     UncoveredOutcome,
     UnknownMember,
@@ -385,66 +386,61 @@ def check_frequencies(diagram: GreechieDiagram, freq: FrequencyTable) -> None:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Outcome of zero-count removal.
-
-    ``dropped_operations`` lists operations that lost every member; a
-    nonempty list makes the estimation problem infeasible (an operation
-    with no members cannot reach unit mass) and estimation entry points
-    reject it.  An operation that becomes a duplicate of an earlier one
-    after removal is kept once; the two constraints are the same.
-    """
+    """Outcome of zero-count removal: the diagram and counts to solve,
+    and the zero-count outcomes removed from them, which take
+    probability zero.  ``zeroed`` is empty when nothing was removed,
+    either because no count is zero or because no certificate proves
+    the removal optimal; ``freq`` then still holds any zero counts."""
 
     diagram: GreechieDiagram
     freq: dict[OutcomeId, int]
     zeroed: frozenset[OutcomeId]
-    dropped_operations: tuple[Operation, ...] = ()
 
 
 def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduction:
-    """Remove every outcome with a zero count from the vertex set and
-    from every operation.
+    """Remove the zero-count outcomes from the vertex set and from every
+    operation, where a certificate proves that optimal; otherwise return
+    the diagram and counts unchanged.
 
-    The maximizer of the reduced problem, with p = 0 re-inserted for the
-    dropped outcomes, maximizes the original likelihood only when every
-    dropped outcome x keeps a nonnegative multiplier sum
-    sigma(x) = sum_{B containing x} lambda_B at the reduced solution
-    (its KKT condition); this reduction does not check that yet.  The
+    The certificate: every operation holding a zero-count outcome also
+    holds an observed outcome y found in no other operation.  At the
+    reduced maximizer sigma(y) = lambda_B = n(y) / p(y) > 0 for that
+    operation B, so every removed outcome x has a positive multiplier
+    sum sigma(x) = sum_{B containing x} lambda_B, and p(x) = 0 meets its
+    KKT conditions in the original problem.  Under the certificate no
+    operation empties or becomes a copy of another, since each keeps an
+    outcome of its own.  Raises EmptyAfterReduction when every count is
+    zero, and InfeasibleReduction when some operation has no observed
+    outcome: its unit sum would rest on unobserved outcomes alone.  The
     reduced diagram may violate the separation condition; that is
     acceptable, the solvers do not rely on it.  Idempotent.
     """
     check_frequencies(diagram, freq)
-    if all(v == 0 for v in freq.values()):
-        raise EmptyAfterReduction("every count is zero")
-
     zeroed = frozenset(x for x in diagram.outcomes if freq[x] == 0)
-    if not zeroed:
-        return Reduction(
-            diagram=diagram,
-            freq={x: int(freq[x]) for x in diagram.outcomes},
-            zeroed=frozenset(),
-        )
-
-    outcomes = tuple(x for x in diagram.outcomes if x not in zeroed)
-    kept_ops: list[Operation] = []
-    kept_sets: set[frozenset[OutcomeId]] = set()
-    dropped: list[Operation] = []
-    for op in diagram.operations:
-        trimmed = tuple(x for x in op if x not in zeroed)
-        if not trimmed:
-            dropped.append(op)
-            continue
-        fs = frozenset(trimmed)
-        if fs not in kept_sets:
-            kept_sets.add(fs)
-            kept_ops.append(trimmed)
-
-    reduced = GreechieDiagram(outcomes=outcomes, operations=tuple(kept_ops))
-    return Reduction(
-        diagram=reduced,
-        freq={x: int(freq[x]) for x in outcomes},
-        zeroed=zeroed,
-        dropped_operations=tuple(dropped),
+    unchanged = Reduction(
+        diagram, {x: int(freq[x]) for x in diagram.outcomes}, frozenset()
     )
+    if not zeroed:
+        return unchanged
+    if len(zeroed) == len(diagram.outcomes):
+        raise EmptyAfterReduction("every count is zero")
+    unobserved = [op for op in diagram.operations if zeroed.issuperset(op)]
+    if unobserved:
+        raise InfeasibleReduction(unobserved)
+    # Every operation losing an outcome must keep an observed one of its own.
+    if not all(
+        any(freq[y] > 0 and len(diagram.edges_of[y]) == 1 for y in op)
+        for op in diagram.operations
+        if not zeroed.isdisjoint(op)
+    ):
+        return unchanged
+    reduced = GreechieDiagram(
+        outcomes=tuple(x for x in diagram.outcomes if x not in zeroed),
+        operations=tuple(
+            tuple(x for x in op if x not in zeroed) for op in diagram.operations
+        ),
+    )
+    return Reduction(reduced, {x: int(freq[x]) for x in reduced.outcomes}, zeroed)
 
 
 def log_likelihood(freq: FrequencyTable, p: ProbabilityAssignment) -> float:

@@ -77,9 +77,9 @@ class EmptyAfterReduction(GreechieError):
 
 
 class InfeasibleReduction(GreechieError):
-    """Zero-count removal emptied an operation.  The normalization
-    constraint of an empty operation cannot be satisfied, so estimation
-    on the original diagram is rejected rather than silently relaxed."""
+    """Some operation has no observed outcome, so its unit sum would
+    rest on unobserved outcomes alone; such counts are rejected
+    rather than estimated."""
 
     def __init__(self, edges: list[tuple[str, ...]]):
         self.edges = edges
@@ -96,16 +96,6 @@ class EstimationError(GreechieError):
 class ZeroTotal(EstimationError):
     def __init__(self) -> None:
         super().__init__("all counts are zero, the classical estimate is undefined")
-
-
-class NoRootInUnitInterval(EstimationError):
-    """The splitting-parameter polynomial has no admissible root.  With
-    positive counts and nonempty interior blocks exactly one root lies in
-    (0, 1), so this signals a bug or a violated precondition."""
-
-    def __init__(self, roots: tuple[float, ...]):
-        self.roots = roots
-        super().__init__(f"no splitting parameter in (0, 1); candidate roots {roots!r}")
 
 
 class NonConvergence(EstimationError):

@@ -26,6 +26,11 @@ multipliers of opposite sign nearly cancel.  See Nocedal & Wright,
 Numerical Optimization, 2nd ed., section 19.2, and S. J. Wright,
 Primal-Dual Interior-Point Methods (SIAM, 1997).
 
+A zero count makes its KKT conditions p(x) >= 0, sigma(x) >= 0 and
+p(x) sigma(x) = 0.  Such an outcome targets p sigma = mu instead of
+n(x) = 0; mu starts at 1 and falls tenfold after every iteration whose
+two step lengths both exceed 0.5, and stays 0 when no count is zero.
+
 H[j, k] is nonzero only where operations j and k share an outcome.
 Once per call the operations are put in Cuthill-McKee order (Cuthill &
 McKee, "Reducing the bandwidth of sparse symmetric matrices", ACM
@@ -55,8 +60,9 @@ from .closed_form import MleResult, finish_result
 from .diagram import FrequencyTable, GreechieDiagram, OutcomeId, worst_gap
 from .errors import NonConvergence
 
-# The iteration stops once the largest operation-sum gap and the largest
-# relative stationarity residual |n - p sigma| / n are both this small.
+# The iteration stops once the largest operation-sum gap, the largest
+# relative stationarity residual |n - p sigma| / n and the largest
+# p sigma of a zero count are all this small.
 _STOP_GAP = 1e-13
 
 # The Newton matrix is H + _RIDGE diag(H), _RIDGE on the unit diagonal
@@ -80,27 +86,29 @@ def solve_numeric(
 ) -> MleResult:
     """Primal-dual Newton iterations to a KKT-certified maximizer.
 
-    Requires positive counts (apply zero-count reduction first) and a
-    positive, finite tol, the bound on the certificate of the returned
-    point; tol plays no part in the iteration.  Starts from lambda_B =
-    n(B) and p = n / sigma, and stops once the largest operation-sum gap
-    |1 - A p| and the largest stationarity residual |n - p sigma| / n
-    are both at most 1e-13.  A^T lambda for the returned multipliers
-    (``diagnostics["multipliers"]``, in operation order) reproduces
-    n / p: over seeded inputs |p (A^T lambda) / n - 1| was at most
-    1e-13 at counts up to 1000 and, at counts spread across nine
-    decades, on chains and cycles of up to 2048 operations.  Where
-    multipliers of size ~1e9 and opposite sign cancel to a sigma near 1,
-    a few units in their last place already move sigma by 1e-7: there
-    it was 1.4e-8 on the comb and 7e-7 on even polygons of pairs, with
-    A^T lambda summed exactly.  The certificate is the
-    worst constraint gap, measured by finish_result.  The multipliers
-    also split each shared count: operation B receives the share
-    c(y, B) = lambda_B / sigma(y) of n(y), and lambda_B is B's
+    Requires nonnegative counts and a positive, finite tol, the bound
+    on the certificate of the returned point; tol plays no part in the
+    iteration.  Starts from lambda_B = n(B) and p = n / sigma, a zero
+    count taken as 1 there, and stops once the largest operation-sum
+    gap |1 - A p|, the largest stationarity residual |n - p sigma| / n
+    and the largest p sigma of a zero count are all at most 1e-13.  A^T
+    lambda for the returned multipliers (``diagnostics["multipliers"]``,
+    in operation order) reproduces n / p: over seeded inputs
+    |p (A^T lambda) / n - 1| was at most 1e-13 at counts up to 1000
+    and, at counts spread across nine decades, on chains and cycles of
+    up to 2048 operations.  Where multipliers of size ~1e9 and opposite
+    sign cancel to a sigma near 1, a few units in their last place
+    already move sigma by 1e-7: there it was 1.4e-8 on the comb and 7e-7
+    on even polygons of pairs, with A^T lambda summed exactly.  The
+    certificate is the worst constraint gap, measured by finish_result.
+    The multipliers also split each shared count: operation B receives
+    the share c(y, B) = lambda_B / sigma(y) of n(y), and lambda_B is B's
     denominator.  On a chain these are the splitting parameters, c_i =
     lambda_{i+1} / (lambda_i + lambda_{i+1}) for the outcome y_i shared
     by A_i and A_{i+1}.  Raises NonConvergence with the last gap after
-    200 iterations, or before taking a Newton step that is not finite.
+    200 iterations, before taking a Newton step that is not finite, or,
+    with a zero count, once p or sigma falls below 1e-150 and p / sigma
+    nears overflow (inputs with no maximizer go there).
 
     The Newton system of m operations is solved on its band when the
     Hessian's bandwidth b after ordering satisfies (b + 1) * 32 <= m,
@@ -124,12 +132,14 @@ def solve_numeric(
     pair_out: list[int] = []
     pair_j: list[int] = []
     pair_k: list[int] = []
+    mu = 0.0  # 1 from the start when some count is zero
     for x, i in idx.items():
-        if freq[x] <= 0:
-            raise ValueError(
-                f"numeric solver requires positive counts; {x!r} has {freq[x]}"
-            )
-        counts[i] = freq[x]
+        n = freq[x]
+        if n <= 0:
+            if n < 0:
+                raise ValueError(f"counts must be nonnegative; {x!r} has {n}")
+            mu = 1.0
+        counts[i] = n
         edges = diagram.edges_of[x]
         outs += [i] * len(edges)
         ops += edges
@@ -163,18 +173,26 @@ def solve_numeric(
     def op_sums(v: np.ndarray) -> np.ndarray:  # A v
         return np.bincount(ops, weights=v[outs], minlength=m)
 
-    lam = op_sums(counts)
+    unit = counts
+    if mu:  # a zero count starts as if counted once; its residual is p sigma
+        unobserved = counts == 0
+        unit = counts + unobserved
+    lam = op_sums(unit)
     sigma = incidence_t(lam)
-    p = counts / sigma
+    p = unit / sigma
     iterations = 0
     while True:
         r1 = counts - p * sigma
         r2 = 1.0 - op_sums(p)
-        gap = float(max(np.abs(r2).max(), np.abs(r1 / counts).max()))
+        gap = float(max(np.abs(r2).max(), np.abs(r1 / unit).max()))
         if gap <= _STOP_GAP:
             break
         if iterations == _MAX_ITERATIONS:
             raise NonConvergence(iterations, gap)
+        if mu:
+            if min(p.min(), sigma.min()) < 1e-150:
+                raise NonConvergence(iterations, gap)
+            r1 = r1 + mu * unobserved
         hess = np.bincount(cells, weights=(p / sigma)[pair_out], minlength=n_cells)
         rhs = op_sums(r1 / sigma) - r2
         if banded:
@@ -190,10 +208,13 @@ def solve_numeric(
             raise NonConvergence(iterations, gap)
         dsigma = incidence_t(dlam)
         dp = (r1 - p * dsigma) / sigma
-        p = p + _boundary_step(p, dp) * dp
+        primal = _boundary_step(p, dp)
+        p = p + primal * dp
         step = _boundary_step(sigma, dsigma)
         lam = lam + step * dlam
         sigma = sigma + step * dsigma
+        if primal > 0.5 and step > 0.5:
+            mu /= 10.0
         # Re-sum sigma from the multipliers where no cancellation can
         # cost digits, and carry it only where multipliers of opposite
         # sign nearly cancel (the comb's spine against its teeth, an
@@ -303,9 +324,10 @@ def kkt_residual(
     the mismatch relatively, per outcome: |p(x)/n(x) * sum lambda_B - 1|.
     The reported residual is the larger of that mismatch and the worst
     constraint gap (diagram.worst_gap).  Zero exactly at the unique
-    maximizer.  Outcomes with n(x) = 0 take part only in the sum gaps;
-    their optimal probability is 0 and stationarity does not constrain
-    them.  Requires p(x) > 0 wherever n(x) > 0."""
+    maximizer.  Outcomes with n(x) = 0 take part only in the sum gaps:
+    their conditions, sigma(x) >= 0 and p(x) sigma(x) = 0, are not
+    measured, and their optimal probability need not be 0 (path5 with
+    n(b) = 0 puts 0.314 on b).  Requires p(x) > 0 wherever n(x) > 0."""
     rows = [x for x in diagram.outcomes if freq[x] > 0]
     for x in rows:
         if p[x] <= 0:

@@ -2,6 +2,7 @@
 paths."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -132,3 +133,21 @@ def random_diagram(rng: random.Random) -> GreechieDiagram:
             operations.append(op)
     covered = {x for op in operations for x in op}
     return build_diagram([x for x in pool if x in covered], operations)
+
+
+def assert_kkt(diagram: GreechieDiagram, freq, result, tol: float = 1e-9) -> None:
+    """The KKT conditions of a numeric estimate, with sigma = A^T lambda
+    summed exactly from ``diagnostics["multipliers"]`` (one per
+    operation of ``diagram``): p sigma / n within tol of 1 on observed
+    outcomes, and on unobserved ones sigma >= -tol max(sigma) and
+    p sigma <= tol."""
+    lam = result.diagnostics["multipliers"]
+    sigma = {x: math.fsum(lam[j] for j in js) for x, js in diagram.edges_of.items()}
+    top = max(sigma.values())
+    for x, s in sigma.items():
+        p = float(result.p[x])
+        if freq[x] > 0:
+            assert abs(p * s / freq[x] - 1) <= tol, (x, p, s, freq)
+        else:
+            assert s >= -tol * top, (x, s, freq)
+            assert p * s <= tol, (x, p, s, freq)

@@ -453,10 +453,9 @@ class TestOracleCheck:
         assert "PASS" in out
         assert len(reductions) == 1
 
-    @pytest.mark.xfail(strict=True, reason="zero-count reduction (ROADMAP item 2)")
     def test_zero_count_reduction_optimal(self, capsys, tmp_path):
-        # With n(b) = 0 the best assignment gives b mass 0.31; estimate
-        # drops b and reaches -107.04 against the oracle's -103.87.
+        # With n(b) = 0 the best assignment gives b mass 0.31: dropping b
+        # would reach only -107.04 against the oracle's -103.87.
         d = shapes.path5()
         counts = {"a1": 8, "a2": 6, "y1": 12, "b": 0, "y2": 7, "c": 15,
                   "y3": 17, "d": 13, "y4": 10, "e1": 13, "e2": 2}

@@ -25,19 +25,21 @@ from greechie_mle import (
     InfeasibleReduction,
     Product,
     ZeroTotal,
+    brute_force_mle,
     build_diagram,
     build_plan,
     detect_chain,
     elimination_c1,
     estimate,
     finish_result,
+    log_likelihood,
     shapes,
     solve_chain_k,
     solve_classical,
     solve_numeric,
 )
 
-from tests.conftest import count_calls, random_counts, random_diagram
+from tests.conftest import assert_kkt, count_calls, random_counts, random_diagram
 
 counts_strategy = st.integers(min_value=1, max_value=1000)
 
@@ -388,6 +390,62 @@ class TestEstimate:
         freq = dict(zip(d.outcomes, values))
         scaled = {x: k * v for x, v in freq.items()}
         assert estimate(d, freq).p == estimate(d, scaled).p
+
+
+class TestZeroCounts:
+    # Inputs on which dropping the zero-count outcome loses likelihood:
+    # the maximizer puts mass on it (0.314 on b for path5).
+    PINNED = (
+        (shapes.path5(), {"a1": 8, "a2": 6, "y1": 12, "b": 0, "y2": 7, "c": 15,
+                          "y3": 17, "d": 13, "y4": 10, "e1": 13, "e2": 2}),
+        (shapes.comb(), {"t1": 5, "t2": 0, "t3": 4, "u1": 30, "v1": 20,
+                         "u2": 3, "v2": 2, "u3": 25, "v3": 30}),
+        (shapes.path3(), {"a1": 8, "a2": 6, "y1": 12, "b": 0, "y2": 7,
+                          "c1": 15, "c2": 3}),
+    )
+
+    @staticmethod
+    def draws(per_shape):
+        """Seeded counts holding at least one zero, on every shape."""
+        rng = random.Random("zero-count kkt")
+        for d in shapes.all_shapes().values():
+            for _ in range(per_shape):
+                freq = {}
+                while 0 not in freq.values():
+                    freq = {
+                        x: rng.randint(0, 3) if rng.random() < 0.15 else rng.randint(1, 300)
+                        for x in d.outcomes
+                    }
+                yield d, freq
+
+    def test_estimates_meet_kkt(self):
+        routes = set()
+        for d, freq in self.PINNED + tuple(self.draws(20)):
+            try:
+                r = estimate(d, freq)
+            except InfeasibleReduction:
+                continue
+            routes.add(r.method)
+            for x in r.diagnostics.get("zeroed", ()):
+                assert r.p[x] == 0
+            if r.method == "numeric":
+                assert_kkt(d, freq, r)
+        assert {"numeric", "horizontal", "product"} <= routes
+
+    def test_uncertified_input_has_no_closed_form(self):
+        # Dropping t2 would leave a closed form, but no certificate holds:
+        # the spine keeps no observed outcome of its own.
+        d, freq = self.PINNED[1]
+        assert estimate(d, freq).method == "numeric"
+        with pytest.raises(NoClosedForm) as info:
+            estimate(d, freq, method="closed")
+        assert info.value.outcomes == d.outcomes
+
+    def test_no_estimate_below_oracle(self):
+        for d, freq in self.PINNED + tuple(self.draws(1)):
+            r = estimate(d, freq)
+            best = log_likelihood(freq, brute_force_mle(d, freq))
+            assert r.log_lik >= best - 1e-9, (d, freq)
 
 
 class TestFinishResult:

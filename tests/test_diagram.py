@@ -12,6 +12,7 @@ from greechie_mle import (
     DuplicateOutcome,
     EmptyAfterReduction,
     EmptyEdge,
+    InfeasibleReduction,
     IntersectionTooLarge,
     OperationPolicy,
     UncoveredOutcome,
@@ -21,6 +22,7 @@ from greechie_mle import (
     check_g1,
     check_g2,
     check_probability,
+    estimate,
     log_likelihood,
     minimum_cycle_length,
     reduce_zero_counts,
@@ -324,17 +326,21 @@ class TestReduction:
         red = reduce_zero_counts(d, freq)
         assert red.zeroed == {"e"}
         assert red.diagram.operations == (("a", "c"), ("b", "d"))
-        assert red.dropped_operations == ()
 
     def test_emptied_operation_is_reported(self):
         d = shapes.disjoint_pairs()
-        red = reduce_zero_counts(d, {"a": 1, "b": 1, "c": 0, "d": 0})
-        assert red.dropped_operations == (("c", "d"),)
+        with pytest.raises(InfeasibleReduction, match=r"1 operation\(s\) lost every member"):
+            reduce_zero_counts(d, {"a": 1, "b": 1, "c": 0, "d": 0})
 
-    def test_collapsed_duplicates_keep_one_copy(self):
+    def test_shared_observed_outcome_blocks_reduction(self):
+        # Both operations would collapse to {a}; a is shared, so nothing
+        # certifies the removal and the solver takes the diagram whole.
         d = build_diagram(["a", "b", "c"], [["a", "b"], ["a", "c"]])
-        red = reduce_zero_counts(d, {"a": 5, "b": 0, "c": 0})
-        assert red.diagram.operations == (("a",),)
+        freq = {"a": 5, "b": 0, "c": 0}
+        red = reduce_zero_counts(d, freq)
+        assert red.diagram is d
+        assert red.zeroed == frozenset()
+        assert abs(estimate(d, freq).p["a"] - 1) <= 1e-12
 
     def test_all_zero_rejected(self):
         d = shapes.disjoint_pairs()

@@ -48,11 +48,11 @@ class TestConfig:
 
 
 class TestSolveNumeric:
-    def test_requires_positive_counts(self):
+    def test_rejects_negative_counts(self):
         d = shapes.tennis()
         freq = {x: 1 for x in d.outcomes}
-        freq["e"] = 0
-        with pytest.raises(ValueError, match="positive"):
+        freq["e"] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
             solve_numeric(d, freq)
 
     def test_single_edge_matches_empirical(self):
