@@ -8,8 +8,8 @@ solvers and compare against the truth.
 
 Reproducibility contract: the generator is Philox (4x64, 10 rounds,
 numpy's counter-based default) keyed with the given seed, and the
-procedure consumes exactly ``2 * trial_count`` doubles, drawn in one
-call as a C-order (trial_count, 2) array:
+procedure consumes exactly ``2 * trial_count`` doubles in row order, the
+same doubles as one C-order (trial_count, 2) draw:
 
 1. u0, u1 = the trial's row.
 2. operation = first index j with u0 < W_j, where W_j is the running
@@ -23,11 +23,21 @@ Any reimplementation following these steps byte-for-byte reproduces the
 counts.  Parallel batches must not share a seed; split streams with the
 generator's documented jump function (numpy: ``Philox(seed).jumped(k)``
 for worker k) or use disjoint seeds.
+
+The rows are drawn in blocks of ``_BLOCK``, which bounds memory, and
+each block is counted in a few whole-array passes: one search of u0
+against the W_j, then, for each member index i below the widest
+operation's last, a gather of every trial's C_i from a table (+inf
+from its operation's last member on), compared with u1.  The member is
+the number of leading C_i <= u1, which is step 3's rule even where a
+running sum dips below the one before it; one ``bincount`` of
+(operation, member) pairs gives the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -41,6 +51,7 @@ from .diagram import (
 )
 
 _WEIGHT_TOL = 1e-12
+_BLOCK = 1 << 16  # trial rows drawn and counted at a time
 
 
 @dataclass(frozen=True)
@@ -101,22 +112,34 @@ def sample_outcomes(
             f"policy weights of this diagram's operations sum to {total!r}, not 1"
         )
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((trial_count, 2))
-
+    operations = diagram.operations
+    m = len(operations)
+    width = max(map(len, operations))
     cum_w = np.cumsum(weight_vec)
-    chosen = np.searchsorted(cum_w, u[:, 0], side="right")
-    np.minimum(chosen, len(cum_w) - 1, out=chosen)
+    table = np.array(
+        [
+            [*accumulate(float(p_true[x]) for x in op[:-1])]
+            + [np.inf] * (width - len(op))
+            for op in operations
+        ]
+    ).T
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    tally = np.zeros(m * width, dtype=np.int64)
+    for start in range(0, trial_count, _BLOCK):
+        u = rng.random((min(_BLOCK, trial_count - start), 2))
+        chosen = np.searchsorted(cum_w, u[:, 0], side="right")
+        np.minimum(chosen, m - 1, out=chosen)
+        u1 = u[:, 1]
+        member = chosen * width
+        leading = np.ones(len(u), dtype=bool)
+        for row in table:
+            leading &= row[chosen] <= u1
+            member += leading
+        tally += np.bincount(member, minlength=m * width)
 
     counts = {x: 0 for x in diagram.outcomes}
-    for j, op in enumerate(diagram.operations):
-        mask = chosen == j
-        draws = int(mask.sum())
-        if draws == 0:
-            continue
-        cum_p = np.cumsum([float(p_true[x]) for x in op])
-        member = np.searchsorted(cum_p, u[mask, 1], side="right")
-        np.minimum(member, len(op) - 1, out=member)
-        for i, hits in zip(*np.unique(member, return_counts=True)):
-            counts[op[int(i)]] += int(hits)
+    for op, hits in zip(operations, tally.reshape(m, width).tolist()):
+        for x, n in zip(op, hits):
+            counts[x] += n
     return counts

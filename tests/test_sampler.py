@@ -2,15 +2,27 @@
 
 The frozen vectors pin the exact draw procedure (one uniform pair per
 trial, cumulative policy then cumulative member search); any change to
-the order of operations shows up here as a count mismatch.
+the order of operations shows up here as a count mismatch.  ``replay``
+is the documented procedure one trial at a time in plain Python, the
+reference the whole-array passes are compared with.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from greechie_mle import OperationPolicy, sample_outcomes, shapes
+from greechie_mle import (
+    OperationPolicy,
+    build_diagram,
+    estimate,
+    sample_outcomes,
+    sampler,
+    shapes,
+)
 
 TENNIS_TRUTH = {
     "a": Fraction(5, 28),
@@ -112,3 +124,101 @@ class TestSampleOutcomes:
         r = estimate(d, counts)
         for x, truth in TENNIS_TRUTH.items():
             assert abs(float(r.p[x]) - float(truth)) < 0.02
+
+
+def replay(diagram, p_true, policy, trial_count, seed):
+    """The module docstring's procedure, trial by trial: first j with
+    u0 < W_j, then first i with u1 < C_i, the last index absorbing the
+    float gap."""
+    rows = np.random.Generator(np.random.Philox(seed)).random((trial_count, 2))
+    cum_w = list(
+        accumulate(float(policy.weights.get(op, 0.0)) for op in diagram.operations)
+    )
+    counts = dict.fromkeys(diagram.outcomes, 0)
+    for u0, u1 in rows.tolist():
+        j = next((j for j, w in enumerate(cum_w) if u0 < w), len(cum_w) - 1)
+        op = diagram.operations[j]
+        sums = accumulate(float(p_true[x]) for x in op)
+        i = next((i for i, c in enumerate(sums) if u1 < c), len(op) - 1)
+        counts[op[i]] += 1
+    return counts
+
+
+REPLAY_DIAGRAMS = {
+    **shapes.all_shapes(),
+    "singletons": build_diagram(["a", "b"], [["a"], ["b"]]),
+    "with_singleton": build_diagram(["a", "b", "c", "d"], [["a"], ["b", "c", "d"]]),
+}
+
+
+def zero_first_policy(diagram):
+    """Weights 0, 1, ..., m - 1, normalised: the first operation is never chosen."""
+    m = len(diagram.operations)
+    return OperationPolicy.aligned(diagram, [k / (m * (m - 1) / 2) for k in range(m)])
+
+
+class TestReplay:
+    @pytest.mark.parametrize("name", list(REPLAY_DIAGRAMS))
+    @pytest.mark.parametrize("make_policy", [OperationPolicy.uniform, zero_first_policy])
+    def test_counts_match_replay(self, name, make_policy, monkeypatch):
+        d = REPLAY_DIAGRAMS[name]
+        rng = np.random.Generator(np.random.Philox(len(name)))
+        counts = {x: int(v) for x, v in zip(d.outcomes, rng.integers(1, 50, len(d.outcomes)))}
+        p_true = estimate(d, counts).p
+        policy = make_policy(d)
+        for trial_count in (1, 2, 7, 1000):
+            seed = 1000 + trial_count
+            assert sample_outcomes(d, p_true, policy, trial_count, seed) == replay(
+                d, p_true, policy, trial_count, seed
+            )
+        expected = replay(d, p_true, policy, 1000, 5)
+        for block in (3, 999, 1000, 1001):
+            monkeypatch.setattr(sampler, "_BLOCK", block)
+            assert sample_outcomes(d, p_true, policy, 1000, 5) == expected
+
+    def test_fixed_rows_follow_the_member_rule(self, monkeypatch):
+        # C for (a, b, c) is (0.5, 0.5 - 5e-11, 1): it dips, so for u1 in
+        # [0.5 - 5e-11, 0.5) the first i with u1 < C_i is a, and b (p < 0)
+        # is never drawn.  Ties go to the next index: u0 = W_0 picks the
+        # second operation, u1 = C_0 its second member.
+        d = build_diagram(["a", "b", "c", "d", "e"], [["a", "b", "c"], ["d", "e"]])
+        p = {"a": 0.5, "b": -5e-11, "c": 0.5 + 5e-11, "d": 0.5, "e": 0.5}
+        dip = 0.5 + -5e-11
+        rows = np.array([
+            [0.25, dip],  # a
+            [0.25, np.nextafter(0.5, 0.0)],  # a
+            [0.25, 0.5],  # c: C_0 and C_1 are both <= u1
+            [0.0, 0.0],  # a
+            [0.5, 0.5],  # e
+            [0.5, np.nextafter(0.5, 0.0)],  # d
+            [np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # e
+        ])
+
+        class FixedRows:
+            def __init__(self, bit_generator):
+                self.next = 0
+
+            def random(self, shape):
+                block = rows[self.next : self.next + shape[0]]
+                self.next += shape[0]
+                return block
+
+        monkeypatch.setattr(np.random, "Generator", FixedRows)
+        policy = OperationPolicy.uniform(d)
+        expected = {"a": 3, "b": 0, "c": 1, "d": 1, "e": 2}
+        assert sample_outcomes(d, p, policy, len(rows), 0) == expected
+        monkeypatch.setattr(sampler, "_BLOCK", 2)
+        assert sample_outcomes(d, p, policy, len(rows), 0) == expected
+
+    def test_memory_is_bounded_by_the_block(self):
+        d = shapes.comb()
+        p = estimate(d, dict.fromkeys(d.outcomes, 1)).p
+        policy = OperationPolicy.uniform(d)
+        tracemalloc.start()
+        try:
+            counts = sample_outcomes(d, p, policy, 1_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 1_000_000
+        assert peak < 8 * 2**20
