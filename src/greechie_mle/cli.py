@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from fractions import Fraction
@@ -31,6 +30,7 @@ from . import __version__
 from .closed_form import estimate
 from .decompose import build_plan, plan_summary, plan_verdict
 from .diagram import (
+    NORMALIZATION_TOL,
     GreechieDiagram,
     Violation,
     build_diagram,
@@ -252,10 +252,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     doc, digest = _load_document(args.file)
     diagram = _build_diagram(doc)
     counts = _read_counts(doc, diagram)
-    result = estimate(diagram, counts, method=args.method, tol=args.tol)
+    result = estimate(diagram, counts, method=args.method)
 
     if args.self_check:
-        _self_check(diagram, counts, result, args.tol)
+        _self_check(diagram, counts, result)
 
     decimal, exact = _probability_strings(result.p)
     document = {
@@ -269,7 +269,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "validation": _validation_summary(diagram),
         "tool_version": __version__,
         "input_digest": f"sha256:{digest}",
-        "tolerance": args.tol,
+        "tolerance": NORMALIZATION_TOL,
     }
     lines = [f"method: {result.method}"]
     for x in diagram.outcomes:
@@ -284,14 +284,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _self_check(diagram: GreechieDiagram, counts: dict, result, tol: float) -> None:
+def _self_check(diagram: GreechieDiagram, counts: dict, result) -> None:
     """Both routes must agree coordinatewise when both exist."""
     if result.diagnostics["verdict"] == "numeric-only" and result.method == "numeric":
         log.info("self-check: only the numeric route exists; nothing to compare")
         return
     other_method = "numeric" if result.method != "numeric" else "auto"
     try:
-        other = estimate(diagram, counts, method=other_method, tol=tol)
+        other = estimate(diagram, counts, method=other_method)
     except EstimationError as exc:
         raise CliError(EXIT_ESTIMATION, f"self-check solve failed: {exc}") from exc
     worst = max(abs(float(result.p[x]) - float(other.p[x])) for x in diagram.outcomes)
@@ -381,13 +381,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a positive finite number")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greechie-mle",
@@ -413,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument(
         "--method", choices=("auto", "closed", "numeric"), default="auto"
     )
-    p_estimate.add_argument("--tol", type=_positive_float, default=1e-10)
     p_estimate.add_argument(
         "--self-check",
         action="store_true",
@@ -451,7 +443,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except GreechieError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f" (plan node {exc.node_path})" if hasattr(exc, "node_path") else ""
+        print(f"error: {exc}{where}", file=sys.stderr)
         if isinstance(exc, NoClosedForm):
             return EXIT_NO_CLOSED_FORM
         return EXIT_ESTIMATION if isinstance(exc, EstimationError) else EXIT_REJECTED

@@ -41,6 +41,7 @@ from .decompose import (
     plan_verdict,
 )
 from .diagram import (
+    NORMALIZATION_TOL,
     FrequencyTable,
     GreechieDiagram,
     OutcomeId,
@@ -79,18 +80,17 @@ def finish_result(
     p: dict[OutcomeId, Number],
     method: str,
     diagnostics: Optional[dict] = None,
-    tol: float = 1e-10,
 ) -> MleResult:
     """Wrap an assignment into an MleResult and certify it.
 
     The residual is measured here, as the worst constraint gap of p on
     ``diagram``, and the same number decides feasibility: a gap above
-    tol (or NaN) raises InfeasibleEstimate."""
+    NORMALIZATION_TOL (or NaN) raises InfeasibleEstimate."""
     if p.keys() != diagram.outcome_index.keys():
         raise ValueError("the assignment must cover exactly the diagram's outcomes")
     gap = worst_gap(diagram, p)
-    if not gap <= tol:
-        raise InfeasibleEstimate(method, gap, tol)
+    if not gap <= NORMALIZATION_TOL:
+        raise InfeasibleEstimate(method, gap, NORMALIZATION_TOL)
     return MleResult(
         p=p,
         method=method,
@@ -216,18 +216,17 @@ def elimination_c1(b1: int, b2: int, m2: int, c2: Number) -> Number:
 
 
 def _execute(
-    plan: DecompositionTree, freq: FrequencyTable, path: str, tol: float
+    plan: DecompositionTree, freq: FrequencyTable, path: str
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """The assignment, route name and diagnostics of one plan node, all
     new objects the caller may change, from counts over exactly the
     node's outcomes.  Leaf solvers certify their own results; composite
     nodes are feasible whenever their children are, and the caller
-    certifies the root.  ``tol`` goes to every numeric solve.  An error
-    raised below gains a ``node_path`` attribute locating the failing
-    node in the tree."""
+    certifies the root.  An error raised below gains a ``node_path``
+    attribute locating the failing node in the tree."""
     try:
         if isinstance(plan, (HorizontalSum, Product)):
-            return _combine(plan, freq, path, tol)
+            return _combine(plan, freq, path)
         if isinstance(plan, ClassicalLeaf):
             result = solve_classical(plan.diagram, freq)
         elif isinstance(plan, Chain):
@@ -236,7 +235,7 @@ def _execute(
             assert isinstance(plan, NumericLeaf)
             from .numeric import solve_numeric
 
-            result = solve_numeric(plan.diagram, freq, tol)
+            result = solve_numeric(plan.diagram, freq)
         return result.p, result.method, result.diagnostics
     except Exception as exc:
         if not hasattr(exc, "node_path"):
@@ -245,7 +244,7 @@ def _execute(
 
 
 def _combine(
-    plan: Union[HorizontalSum, Product], freq: FrequencyTable, path: str, tol: float
+    plan: Union[HorizontalSum, Product], freq: FrequencyTable, path: str
 ) -> tuple[dict[OutcomeId, Number], str, dict]:
     """A sum is the union of its children's assignments; a product
     scales each factor's assignment by the factor's share of the total
@@ -264,7 +263,7 @@ def _combine(
     methods: list[str] = []
     for i, (child, w) in enumerate(zip(children, weights)):
         q, method, diagnostics = _execute(
-            child, _sub_freq(child.diagram, freq), f"{path}/{label}[{i}]", tol
+            child, _sub_freq(child.diagram, freq), f"{path}/{label}[{i}]"
         )
         p.update(q if is_sum else {x: w * v for x, v in q.items()})
         split.extend(diagnostics.get("splitting_parameters", []))
@@ -283,7 +282,6 @@ def estimate(
     diagram: GreechieDiagram,
     freq: FrequencyTable,
     method: str = "auto",
-    tol: float = 1e-10,
 ) -> MleResult:
     """Full pipeline: validate counts, drop the zero-count outcomes
     where reduce_zero_counts certifies that optimal, solve, and
@@ -295,16 +293,12 @@ def estimate(
     method "auto" uses the decomposition plan, "closed" additionally
     rejects plans containing a numeric leaf (NoClosedForm), and
     "numeric" forces the general solver on the whole reduced diagram.
-    ``tol`` (positive and finite) bounds the worst constraint gap that
-    each numeric solve certifies, on every route.  The result is
-    certified once, on ``diagram``: its worst constraint gap must stay
-    within 1e-10 on exact routes and max(1e-9, tol) on numeric ones.
-    An operation without an observed outcome raises InfeasibleReduction;
-    an assignment that misses the constraints raises InfeasibleEstimate."""
+    finish_result certifies each leaf and then the result, on
+    ``diagram``, against NORMALIZATION_TOL.  An operation without an
+    observed outcome raises InfeasibleReduction; an assignment that
+    misses the constraints raises InfeasibleEstimate."""
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     reduction = reduce_zero_counts(diagram, freq)
     if 0 in reduction.freq.values():  # no certificate for the reduction
         plan: DecompositionTree = NumericLeaf(reduction.diagram)
@@ -315,7 +309,7 @@ def estimate(
         culprit = next(leaf for leaf in plan_leaves(plan) if isinstance(leaf, NumericLeaf))
         raise NoClosedForm(culprit.diagram.outcomes)
     run = NumericLeaf(reduction.diagram) if method == "numeric" else plan
-    p, route, diagnostics = _execute(run, reduction.freq, "root", tol)
+    p, route, diagnostics = _execute(run, reduction.freq, "root")
     for x in diagram.outcomes:  # declaration order, not the set's
         if x in reduction.zeroed:
             p[x] = Fraction(0)
@@ -323,12 +317,8 @@ def estimate(
     diagnostics["verdict"] = verdict
     if reduction.zeroed:
         diagnostics["zeroed"] = sorted(reduction.zeroed)
-    bound = 1e-10
-    if method == "numeric" or verdict == "numeric-only":
-        # A numeric result is only as feasible as the solver's stopping rule.
-        bound = max(1e-9, tol)
     try:
-        return finish_result(diagram, freq, p, route, diagnostics, tol=bound)
+        return finish_result(diagram, freq, p, route, diagnostics)
     except InfeasibleEstimate as exc:
         exc.node_path = "root"
         raise

@@ -37,6 +37,8 @@ Operation = tuple[OutcomeId, ...]
 FrequencyTable = Mapping[OutcomeId, int]
 ProbabilityAssignment = Mapping[OutcomeId, Union[Fraction, float]]
 
+# The one feasibility bound: the largest worst_gap that an estimate, on
+# any route, or check_probability accepts.
 NORMALIZATION_TOL = 1e-10
 
 
@@ -461,23 +463,18 @@ def log_likelihood(freq: FrequencyTable, p: ProbabilityAssignment) -> float:
     return total
 
 
-def check_probability(
-    diagram: GreechieDiagram,
-    p: ProbabilityAssignment,
-    tol: float = NORMALIZATION_TOL,
-) -> bool:
+def check_probability(diagram: GreechieDiagram, p: ProbabilityAssignment) -> bool:
     """True iff every p(x) lies in [0, 1] and every operation's total
-    mass is within tol of 1, that is, iff worst_gap is at most tol (a
-    NaN anywhere fails).  The range check extends tol past both
-    ends, since float solutions land within rounding of the box (a
-    single-outcome operation puts p at 1 exactly up to the solver's
-    inner tolerance); exact rational inputs are unaffected in practice
-    because the closed forms keep them inside the box."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    mass is within NORMALIZATION_TOL of 1, that is, iff worst_gap is at
+    most NORMALIZATION_TOL (a NaN anywhere fails).  The range check
+    extends the bound past both ends, since float solutions land within
+    rounding of the box (a single-outcome operation puts p at 1 exactly
+    up to the solver's inner tolerance); exact rational inputs are
+    unaffected in practice because the closed forms keep them inside
+    the box."""
     if set(p) != set(diagram.outcomes):
         return False
-    return worst_gap(diagram, p) <= tol
+    return worst_gap(diagram, p) <= NORMALIZATION_TOL
 
 
 def worst_gap(diagram: GreechieDiagram, p: ProbabilityAssignment) -> float:

@@ -81,26 +81,23 @@ _BAND_RATIO = 32
 _MAX_ITERATIONS = 200
 
 
-def solve_numeric(
-    diagram: GreechieDiagram, freq: FrequencyTable, tol: float = 1e-10
-) -> MleResult:
-    """Primal-dual Newton iterations to a KKT-certified maximizer.
+def solve_numeric(diagram: GreechieDiagram, freq: FrequencyTable) -> MleResult:
+    """Primal-dual Newton iterations to a maximizer.
 
-    Requires nonnegative counts and a positive, finite tol, the bound
-    on the certificate of the returned point; tol plays no part in the
-    iteration.  Starts from lambda_B = n(B) and p = n / sigma, a zero
-    count taken as 1 there, and stops once the largest operation-sum
-    gap |1 - A p|, the largest stationarity residual |n - p sigma| / n
-    and the largest p sigma of a zero count are all at most 1e-13.  A^T
-    lambda for the returned multipliers (``diagnostics["multipliers"]``,
-    in operation order) reproduces n / p: over seeded inputs
-    |p (A^T lambda) / n - 1| was at most 1e-13 at counts up to 1000
-    and, at counts spread across nine decades, on chains and cycles of
-    up to 2048 operations.  Where multipliers of size ~1e9 and opposite
+    Requires nonnegative counts.  Starts from lambda_B = n(B) and p =
+    n / sigma, a zero count taken as 1 there, and stops once the largest
+    operation-sum gap |1 - A p|, the largest stationarity residual
+    |n - p sigma| / n and the largest p sigma of a zero count are all at
+    most 1e-13.  A^T lambda for the returned multipliers
+    (``diagnostics["multipliers"]``, in operation order) reproduces
+    n / p: over seeded inputs |p (A^T lambda) / n - 1| was at most
+    1e-13 at counts up to 1000 and, at counts spread across nine
+    decades, on chains and cycles of up to 2048 operations.  Where multipliers of size ~1e9 and opposite
     sign cancel to a sigma near 1, a few units in their last place
     already move sigma by 1e-7: there it was 1.4e-8 on the comb and 7e-7
     on even polygons of pairs, with A^T lambda summed exactly.  The
-    certificate is the worst constraint gap, measured by finish_result.
+    certificate is the worst constraint gap, measured by finish_result
+    and held to NORMALIZATION_TOL.
     The multipliers also split each shared count: operation B receives
     the share c(y, B) = lambda_B / sigma(y) of n(y), and lambda_B is B's
     denominator.  On a chain these are the splitting parameters, c_i =
@@ -120,8 +117,6 @@ def solve_numeric(
     break even near b = 14 at m = 512, b = 9 at m = 256, b = 3 at
     m = 128 and b = 1 at m = 64.  Both walk the same iterates up to
     rounding."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     idx = diagram.outcome_index
     m = len(diagram.operations)
     counts = np.empty(len(idx))
@@ -228,7 +223,7 @@ def solve_numeric(
 
     p_map = {x: float(p[i]) for x, i in idx.items()}
     diagnostics = {"sweeps": iterations, "multipliers": lam.tolist()}
-    return finish_result(diagram, freq, p_map, "numeric", diagnostics, tol=tol)
+    return finish_result(diagram, freq, p_map, "numeric", diagnostics)
 
 
 def _cuthill_mckee(diagram: GreechieDiagram) -> list[int]:

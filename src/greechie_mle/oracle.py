@@ -198,17 +198,16 @@ def brute_force_mle(
 
     best = np.array([float(start[x]) for x in outcomes])
     basis = nullspace_basis(diagram)
+    if not len(basis):  # the start is the only feasible point
+        return {x: float(start[x]) for x in outcomes}
     with np.errstate(divide="ignore"):
         best_ll = loglik(best)
-        try:
-            for chunk in _walk_chunks(diagram, basis, start, budget):
-                lls = np.log(chunk[:, observed]) @ counts
-                i = int(np.argmax(lls))
-                if lls[i] > best_ll:
-                    best_ll = float(lls[i])
-                    best = chunk[i].copy()
-        except DegeneratePolytope as unique:
-            return {x: float(unique.point[x]) for x in outcomes}
+        for chunk in _walk_chunks(diagram, basis, start, budget):
+            lls = np.log(chunk[:, observed]) @ counts
+            i = int(np.argmax(lls))
+            if lls[i] > best_ll:
+                best_ll = float(lls[i])
+                best = chunk[i].copy()
 
         probes = []
         for d in basis / np.linalg.norm(basis, axis=1)[:, None]:

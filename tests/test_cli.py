@@ -21,6 +21,7 @@ from greechie_mle import (
     cli,
     closed_form,
     diagram,
+    numeric,
     shapes,
 )
 from greechie_mle.cli import main
@@ -280,8 +281,8 @@ class TestEstimate:
         real = cli.estimate
         perturbed = {}
 
-        def fake(diagram, counts, method="auto", tol=1e-10):
-            result = real(diagram, counts, method=method, tol=tol)
+        def fake(diagram, counts, method="auto"):
+            result = real(diagram, counts, method=method)
             if method == "numeric" and not perturbed:
                 perturbed["done"] = True
                 result.p[diagram.outcomes[0]] = float(result.p[diagram.outcomes[0]]) + 1e-3
@@ -312,10 +313,29 @@ class TestEstimate:
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        # The feasibility bound is fixed, so --tol is no option at all.
         with pytest.raises(SystemExit) as info:
             main(["estimate", str(FIXTURES / "tennis.json"), "--tol", tol])
         assert info.value.code == 2
-        assert "--tol" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+
+    def test_error_names_the_plan_node(self, capsys, monkeypatch, tmp_path):
+        # A coin beside the four-cycle: the numeric leaf, the sum's second
+        # child, cannot converge in one Newton iteration.
+        base = shapes.four_cycle()
+        outcomes = ["p", "q"] + list(base.outcomes)
+        doc = {
+            "outcomes": outcomes,
+            "operations": [["p", "q"]] + [list(op) for op in base.operations],
+            "counts": {x: 1 + i for i, x in enumerate(outcomes)},
+        }
+        path = tmp_path / "coin_and_cycle.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 1)
+        code, out, err = run(capsys, "estimate", path)
+        assert (code, out) == (4, "")
+        assert "no convergence after 1 iterations" in err
+        assert err.rstrip().endswith("(plan node root/sum[1])")
 
     def test_self_check_reuses_the_verdict(self, capsys, monkeypatch):
         # The command plans nothing itself; each of the two estimate

@@ -1,6 +1,5 @@
 """General solver: convergence, certificates, dual-variable behavior."""
 
-import inspect
 import random
 import warnings
 from decimal import Decimal
@@ -23,28 +22,7 @@ from tests.reference import reference_optimum
 
 class TestConfig:
     def test_defaults(self):
-        for solver in (estimate, solve_numeric):
-            assert inspect.signature(solver).parameters["tol"].default == 1e-10
         assert numeric._MAX_ITERATIONS == 200
-
-    def test_rejects_bad_values(self):
-        d = shapes.four_cycle()
-        freq = {x: 1 for x in d.outcomes}
-        for solver in (estimate, solve_numeric):
-            with pytest.raises(ValueError, match="tol"):
-                solver(d, freq, tol=0.0)
-            with pytest.raises(ValueError, match="tol"):
-                solver(d, freq, tol=-1e-9)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        # estimate checks tol on every route, closed ones included.
-        for d in (shapes.tennis(), shapes.four_cycle()):
-            freq = {x: 1 for x in d.outcomes}
-            with pytest.raises(ValueError, match="tol"):
-                estimate(d, freq, tol=tol)
-            with pytest.raises(ValueError, match="tol"):
-                solve_numeric(d, freq, tol=tol)
 
 
 class TestSolveNumeric:

@@ -7,9 +7,11 @@ run, which the test suite does not run.  Likewise every name in
 ``greechie_mle.__all__`` must exist, so a removed export leaves no
 stale name behind, and every public attribute other than a submodule
 must be listed there, so an added export is not left out.  And numpy
-stays the only runtime dependency, and every BENCH_<n>.json file of
-paired benchmark runs covers the whole benchmark."""
+stays the only runtime dependency, every BENCH_<n>.json file of
+paired benchmark runs covers the whole benchmark, and every option the
+README's command-line section names exists."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -19,6 +21,7 @@ import types
 from pathlib import Path
 
 import greechie_mle
+from greechie_mle.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -99,3 +102,17 @@ def test_bench_files_name_every_workload():
         assert sorted(doc["workloads"]) == workloads, path.name
         for name, result in doc["workloads"].items():
             assert sorted(result["metrics"]) == metrics, (path.name, name)
+
+
+def test_readme_options_exist():
+    # A removed option must leave no mention in the README's examples or
+    # its exit-code paragraph.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for sub in commands.choices.values():
+        options |= set(sub._option_string_actions)
+    assert named and sorted(named - options) == []
