@@ -46,11 +46,9 @@ from .diagram import (
     validate_diagram,
 )
 from .errors import (
-    DegeneratePolytope,
     DiagramError,
     DuplicateEdge,
     DuplicateOutcome,
-    EmptyAfterReduction,
     EmptyEdge,
     EstimationError,
     GreechieError,
@@ -61,7 +59,6 @@ from .errors import (
     NonConvergence,
     UncoveredOutcome,
     UnknownMember,
-    ZeroTotal,
 )
 from .numeric import kkt_residual, solve_numeric
 from .oracle import (
@@ -80,11 +77,9 @@ __all__ = [
     "Chain",
     "ClassicalLeaf",
     "DecompositionTree",
-    "DegeneratePolytope",
     "DiagramError",
     "DuplicateEdge",
     "DuplicateOutcome",
-    "EmptyAfterReduction",
     "EmptyEdge",
     "EstimationError",
     "GreechieDiagram",
@@ -105,7 +100,6 @@ __all__ = [
     "UnknownMember",
     "ValidationReport",
     "Violation",
-    "ZeroTotal",
     "brute_force_mle",
     "build_diagram",
     "build_plan",

@@ -8,11 +8,12 @@ results go to stdout (JSON or text per --format), diagnostics and
 errors to stderr.
 
 Exit codes: 0 success; 1 validation or estimation rejected (failed
-conditions, empty or infeasible reduction, invalid true_probs/policy);
-2 unparseable or malformed input; 3 no closed form under
---method closed; 4 the solver could not produce a feasible estimate
-(nonconvergence, an infeasible assignment); 5 dominance or self-check
-disagreement.  GREECHIE_MLE_LOG=<level> turns on stderr logging.
+conditions, an operation with no observed outcome, invalid
+true_probs/policy); 2 unparseable or malformed input; 3 no closed form
+under --method closed; 4 a solver, on either --self-check route, could
+not produce a feasible estimate (nonconvergence, an infeasible
+assignment); 5 dominance or self-check disagreement.
+GREECHIE_MLE_LOG=<level> turns on stderr logging.
 """
 
 from __future__ import annotations
@@ -290,10 +291,7 @@ def _self_check(diagram: GreechieDiagram, counts: dict, result) -> None:
         log.info("self-check: only the numeric route exists; nothing to compare")
         return
     other_method = "numeric" if result.method != "numeric" else "auto"
-    try:
-        other = estimate(diagram, counts, method=other_method)
-    except EstimationError as exc:
-        raise CliError(EXIT_ESTIMATION, f"self-check solve failed: {exc}") from exc
+    other = estimate(diagram, counts, method=other_method)
     worst = max(abs(float(result.p[x]) - float(other.p[x])) for x in diagram.outcomes)
     log.info("self-check: max coordinate gap %.3e", worst)
     if worst > _SELF_CHECK_TOL:

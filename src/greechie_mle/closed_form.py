@@ -49,11 +49,7 @@ from .diagram import (
     reduce_zero_counts,
     worst_gap,
 )
-from .errors import (
-    InfeasibleEstimate,
-    NoClosedForm,
-    ZeroTotal,
-)
+from .errors import InfeasibleEstimate, InfeasibleReduction, NoClosedForm
 
 Number = Union[Fraction, float]
 
@@ -111,12 +107,13 @@ def solve_classical(diagram: GreechieDiagram, freq: FrequencyTable) -> MleResult
     """Single operation: p(x) = n(x) / total, in exact rationals.
 
     The likelihood is multinomial and the empirical distribution is its
-    unique maximizer.  Raises ZeroTotal when nothing was observed."""
+    unique maximizer.  Raises InfeasibleReduction, as reduce_zero_counts
+    does, when the operation has no observed outcome."""
     if len(diagram.operations) != 1:
         raise ValueError("solve_classical requires a single-operation diagram")
     total = sum(freq[x] for x in diagram.outcomes)
     if total == 0:
-        raise ZeroTotal()
+        raise InfeasibleReduction(list(diagram.operations))
     p = {x: Fraction(freq[x], total) for x in diagram.outcomes}
     return finish_result(diagram, _sub_freq(diagram, freq), p, "classical")
 

@@ -23,7 +23,6 @@ from .errors import (
     DiagramError,
     DuplicateEdge,
     DuplicateOutcome,
-    EmptyAfterReduction,
     EmptyEdge,
     InfeasibleReduction,
     IntersectionTooLarge,
@@ -411,11 +410,11 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
     sum sigma(x) = sum_{B containing x} lambda_B, and p(x) = 0 meets its
     KKT conditions in the original problem.  Under the certificate no
     operation empties or becomes a copy of another, since each keeps an
-    outcome of its own.  Raises EmptyAfterReduction when every count is
-    zero, and InfeasibleReduction when some operation has no observed
-    outcome: its unit sum would rest on unobserved outcomes alone.  The
-    reduced diagram may violate the separation condition; that is
-    acceptable, the solvers do not rely on it.  Idempotent.
+    outcome of its own.  Raises InfeasibleReduction, naming them, when
+    some operations have no observed outcome (all of them when every
+    count is zero): their unit sums would rest on unobserved outcomes
+    alone.  The reduced diagram may violate the separation condition;
+    that is acceptable, the solvers do not rely on it.  Idempotent.
     """
     check_frequencies(diagram, freq)
     zeroed = frozenset(x for x in diagram.outcomes if freq[x] == 0)
@@ -424,8 +423,6 @@ def reduce_zero_counts(diagram: GreechieDiagram, freq: FrequencyTable) -> Reduct
     )
     if not zeroed:
         return unchanged
-    if len(zeroed) == len(diagram.outcomes):
-        raise EmptyAfterReduction("every count is zero")
     unobserved = [op for op in diagram.operations if zeroed.issuperset(op)]
     if unobserved:
         raise InfeasibleReduction(unobserved)

@@ -3,7 +3,8 @@
 Construction errors carry the offending object so callers can report
 precise diagnostics without re-deriving them.  An error raised while
 ``estimate`` runs its plan also carries ``node_path`` (such as
-"root/sum[1]"), the plan node that failed.
+"root/sum[1]"), the plan node that failed.  Each leaf class names one
+cause, and every one of them is raised somewhere in the package.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class IntersectionTooLarge(GreechieError):
         )
 
 
-class EmptyAfterReduction(GreechieError):
-    """Every recorded count is zero, so nothing remains to estimate."""
-
-
 class InfeasibleReduction(GreechieError):
     """Some operation has no observed outcome, so its unit sum would
     rest on unobserved outcomes alone; such counts are rejected
@@ -91,11 +88,6 @@ class InfeasibleReduction(GreechieError):
 
 class EstimationError(GreechieError):
     """A solver could not produce an estimate."""
-
-
-class ZeroTotal(EstimationError):
-    def __init__(self) -> None:
-        super().__init__("all counts are zero, the classical estimate is undefined")
 
 
 class NonConvergence(EstimationError):
@@ -133,12 +125,3 @@ class NoClosedForm(EstimationError):
             "no closed form: a numeric-only subproblem covers outcomes "
             + ", ".join(outcomes)
         )
-
-
-class DegeneratePolytope(GreechieError):
-    """The feasible set is a single point; there is nothing to sample.
-    The unique point is attached for callers that can use it directly."""
-
-    def __init__(self, point):
-        self.point = point
-        super().__init__("feasible polytope is zero-dimensional")

@@ -1,12 +1,14 @@
-"""Independent brute-force verifier.
+"""Brute-force verifier.
 
 Samples the feasible polytope {p >= 0, every operation sums to 1} by a
 hit-and-run walk (Smith, "Efficient Monte Carlo procedures for
 generating points uniformly distributed over bounded regions", Oper.
 Res. 32, 1984) and refines the best sample by line searches, giving a
-reference maximizer that owes nothing to the solvers' algebra.  Results
-are lower-bound certificates only: the solvers must always reach at
-least the oracle's likelihood.
+reference maximizer.  Only the walk's start comes from a solver, as
+solve_numeric on all-one counts, whose NonConvergence is raised as is;
+the walk and the line searches owe nothing to the solvers' algebra.
+Results are lower-bound certificates only: the solvers must always
+reach at least the oracle's likelihood.
 
 The walk needs directions that keep every operation sum unchanged, i.e.
 the null space of the incidence matrix.  The basis is computed once by
@@ -27,7 +29,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .diagram import FrequencyTable, GreechieDiagram, ProbabilityAssignment
-from .errors import DegeneratePolytope
 
 _CHUNK = 4096  # walk points between re-projections
 _WALKERS = 512  # hit-and-run chains advanced together, one column each
@@ -112,12 +113,10 @@ def _walk_chunks(
     It is deterministic for a given seed, holds exactly
     budget.sample_count points (the last step is cut short when
     needed), and re-projects every walker onto the operation sums after
-    each chunk to cancel float drift.  Raises DegeneratePolytope when
-    the null space is trivial: the start is then the only feasible
-    point."""
+    each chunk to cancel float drift.  When the null space is trivial
+    every direction is zero, so every walker stays at the start, the
+    only feasible point."""
     outcomes = diagram.outcomes
-    if basis.shape[0] == 0:
-        raise DegeneratePolytope({x: start[x] for x in outcomes})
     inc = incidence_matrix(diagram)
     pinv = np.linalg.pinv(inc)
     rng = np.random.Generator(np.random.Philox(budget.rng_seed))
@@ -163,7 +162,7 @@ def sample_feasible(
     Deterministic for a given seed: the step-major interleaving of
     several hit-and-run chains run in lockstep from ``start``.  Not
     uniform on the polytope; the coverage only needs to be broad enough
-    for dominance checking."""
+    for dominance checking.  A point polytope yields the start each time."""
     outcomes = diagram.outcomes
     for chunk in _walk_chunks(diagram, nullspace_basis(diagram), start, budget):
         for row in chunk:
@@ -180,8 +179,9 @@ def brute_force_mle(
     Evaluates the likelihood, over the outcomes with positive counts as
     in diagram.log_likelihood, at every walk sample, keeps the argmax,
     then polishes it by bidirectional line probes along each null-space
-    basis direction with a shrinking step.  A zero-dimensional polytope
-    short-circuits to its unique point."""
+    basis direction with a shrinking step.  Starts from solve_numeric on
+    all-one counts, raising its NonConvergence should it fail.  A
+    zero-dimensional polytope short-circuits to its unique point."""
     from .numeric import solve_numeric
 
     budget = budget or OracleBudget()

@@ -336,6 +336,11 @@ class TestEstimate:
         assert (code, out) == (4, "")
         assert "no convergence after 1 iterations" in err
         assert err.rstrip().endswith("(plan node root/sum[1])")
+        # Under --self-check the product route succeeds and the numeric
+        # route fails; its error names its node like any other.
+        code, out, err = run(capsys, "estimate", FIXTURES / "tennis.json", "--self-check")
+        assert (code, out) == (4, "")
+        assert err.rstrip().endswith("(plan node root)")
 
     def test_self_check_reuses_the_verdict(self, capsys, monkeypatch):
         # The command plans nothing itself; each of the two estimate

@@ -10,7 +10,6 @@ import pytest
 from greechie_mle import (
     DuplicateEdge,
     DuplicateOutcome,
-    EmptyAfterReduction,
     EmptyEdge,
     InfeasibleReduction,
     IntersectionTooLarge,
@@ -344,8 +343,9 @@ class TestReduction:
 
     def test_all_zero_rejected(self):
         d = shapes.disjoint_pairs()
-        with pytest.raises(EmptyAfterReduction):
+        with pytest.raises(InfeasibleReduction) as info:
             reduce_zero_counts(d, {x: 0 for x in d.outcomes})
+        assert info.value.edges == list(d.operations)
 
     def test_idempotent(self):
         d = shapes.path3()

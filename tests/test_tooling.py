@@ -7,8 +7,9 @@ run, which the test suite does not run.  Likewise every name in
 ``greechie_mle.__all__`` must exist, so a removed export leaves no
 stale name behind, and every public attribute other than a submodule
 must be listed there, so an added export is not left out.  And numpy
-stays the only runtime dependency, every BENCH_<n>.json file of
-paired benchmark runs covers the whole benchmark, and every option the
+stays the only runtime dependency, every leaf error type is raised
+somewhere in the package, every BENCH_<n>.json file of paired
+benchmark runs covers the whole benchmark, and every option the
 README's command-line section names exists."""
 
 import argparse
@@ -87,6 +88,31 @@ def test_numpy_is_the_only_runtime_dependency():
             if any(name.split(".")[0] == "scipy" for name in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_every_error_type_is_raised():
+    # One cause, one type: an error class that no code raises names no
+    # cause and should go.  Base classes are reached through their leaves.
+    from greechie_mle import errors
+
+    classes = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and cls.__module__ == errors.__name__
+    ]
+    leaves = {
+        cls.__name__
+        for cls in classes
+        if not any(other is not cls and issubclass(other, cls) for other in classes)
+    }
+    raised = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert "NonConvergence" in leaves and "GreechieError" not in leaves
+    assert sorted(leaves - raised) == []
 
 
 def test_bench_files_name_every_workload():
