@@ -3,7 +3,8 @@
 Recognizes the three structures with known direct estimators, in order
 of preference: horizontal sums (disconnected pieces are independent
 subproblems), products (every operation picks one operation from each
-factor), and chains of three operations (in a path, consecutive ones
+factor; the finest factorization is found, whatever the declaration
+order), and chains of three operations (in a path, consecutive ones
 sharing a single outcome, the ends none).  Everything else, longer
 chains included, becomes a numeric leaf for the general solver.  The
 result is a recursive plan tree consumed by the solver dispatcher.
@@ -12,7 +13,6 @@ result is a recursive plan tree consumed by the solver dispatcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterator, Optional, Union
 
 from .diagram import GreechieDiagram, Operation, OutcomeId
@@ -140,109 +140,69 @@ def _non_coexistence_parts(diagram: GreechieDiagram) -> list[list[int]]:
 
 
 def factor_product(diagram: GreechieDiagram) -> Optional[list[GreechieDiagram]]:
-    """Find a product factorization with at least two factors, or None.
+    """Find the finest product factorization with at least two factors,
+    or None.
 
-    Outcomes from different factors always coexist in some operation, so
-    parts of the non-coexistence graph refine any true factor partition.
-    Starting from those parts, the partition is accepted once every
-    operation meets every part and the operations are exactly the
-    Cartesian combinations of the per-part traces.  On failure, the
-    smallest set of parts witnessing a missing trace combination must
-    lie inside a single true factor, so those parts are merged and the
-    check repeats; when one part remains there is no factorization.
+    A partition of the outcomes separates the operations when they are
+    exactly the Cartesian combinations of its traces (an empty trace
+    counts as a value).  Outcomes that never share an operation lie in
+    one block of any such partition, so the blocks are built from the
+    parts of the non-coexistence graph, added one at a time.  Separating
+    partitions are closed under meet and projections of a product are
+    products, so a block stays apart from the new part exactly when it
+    separates from the rest of the outcomes seen so far; the blocks that
+    fail that test merge with the new part, and the result is the finest
+    separating partition, whatever the declaration order.  A factor must
+    meet every operation, so the blocks that some operation misses join
+    the one, among the blocks every operation meets, that holds the
+    least outcome name; factors are ordered by their earliest outcome.
     """
-    n_edges = len(diagram.operations)
-    if n_edges == 0:
+    parts = _non_coexistence_parts(diagram)
+    if len(parts) < 2:
         return None
     idx = diagram.outcome_index
-    edge_members: list[set[int]] = [set(idx[x] for x in op) for op in diagram.operations]
+    masks = [sum(1 << idx[x] for x in op) for op in diagram.operations]
 
-    parts = [frozenset(p) for p in _non_coexistence_parts(diagram)]
+    def traces(s: int) -> int:
+        return len({m & s for m in masks})
 
-    while len(parts) > 1:
-        # Trace of each operation on each part, as index frozensets.
-        traces = [
-            [frozenset(edge & part) for part in parts] for edge in edge_members
-        ]
-        empty = next(
-            (
-                (ei, pi)
-                for ei, row in enumerate(traces)
-                for pi, tr in enumerate(row)
-                if not tr
-            ),
-            None,
-        )
-        if empty is not None:
-            # The part misses this operation entirely, so it cannot stand
-            # alone; fold it into the part owning the operation's first
-            # member (a deterministic choice, re-verified below).
-            ei, pi = empty
-            first = min(edge_members[ei])
-            other = next(k for k, part in enumerate(parts) if first in part)
-            parts = _merge_parts(parts, {pi, other})
-            continue
+    blocks: list[int] = []
+    seen = 0
+    for part in parts:
+        joined = sum(1 << i for i in part)
+        seen |= joined
+        total = traces(seen)
+        apart = []
+        for b in blocks:
+            if traces(seen & ~b) * traces(b) == total:
+                apart.append(b)
+            else:
+                joined |= b
+        blocks = apart + [joined]
 
-        distinct = [set(row[pi] for row in traces) for pi in range(len(parts))]
-        if prod(len(d) for d in distinct) == n_edges:
-            # The trace tuple determines the operation (parts partition the
-            # outcomes), so matching counts make the map a bijection.
-            return _factor_diagrams(diagram, parts)
-
-        support = _missing_combination_support(traces, distinct)
-        if support is None:
-            return None
-        parts = _merge_parts(parts, support)
-
-    return None
+    full = [b for b in blocks if all(m & b for m in masks)]
+    if len(full) < 2:
+        return None
+    if len(full) < len(blocks):
+        names = diagram.outcomes
+        host = min(full, key=lambda b: min(x for i, x in enumerate(names) if b >> i & 1))
+        full.remove(host)
+        full.append(sum(b for b in blocks if b not in full))
+    return _factor_diagrams(diagram, full)
 
 
-def _merge_parts(
-    parts: list[frozenset[int]], which: set[int]
-) -> list[frozenset[int]]:
-    merged = frozenset().union(*(parts[k] for k in which))
-    out = [p for k, p in enumerate(parts) if k not in which]
-    out.append(merged)
-    out.sort(key=min)
-    return out
-
-
-def _missing_combination_support(
-    traces: list[list[frozenset[int]]], distinct: list[set[frozenset[int]]]
-) -> Optional[set[int]]:
-    """Smallest set of parts whose joint traces miss a combination.
-
-    Checked by subset size: for parts S, the operations realize at most
-    prod_{s in S} |E_s| distinct |S|-tuples; fewer means some
-    combination never occurs.  Minimality of S makes merging it safe:
-    a missing combination over parts of two independent factors would
-    contradict the realizability of its sub-combinations.
-    """
-    from itertools import combinations
-
-    k_parts = len(distinct)
-    for size in range(2, k_parts + 1):
-        for subset in combinations(range(k_parts), size):
-            expected = prod(len(distinct[pi]) for pi in subset)
-            realized = {tuple(row[pi] for pi in subset) for row in traces}
-            if len(realized) < expected:
-                return set(subset)
-    return None
-
-
-def _factor_diagrams(
-    diagram: GreechieDiagram, parts: list[frozenset[int]]
-) -> list[GreechieDiagram]:
-    """Build factor sub-diagrams: outcomes in declaration order, one
-    operation per distinct trace in first-appearance order."""
+def _factor_diagrams(diagram: GreechieDiagram, parts: list[int]) -> list[GreechieDiagram]:
+    """Build factor sub-diagrams from outcome-index bitmasks, ordered by
+    their least index: outcomes in declaration order, one operation per
+    distinct trace in first-appearance order."""
     factors = []
-    order = sorted(parts, key=min)
-    for part in order:
-        outcomes = tuple(x for x in diagram.outcomes if diagram.outcome_index[x] in part)
+    idx = diagram.outcome_index
+    for part in sorted(parts, key=lambda b: b & -b):
+        outcomes = tuple(x for x in diagram.outcomes if part >> idx[x] & 1)
         seen: set[frozenset[OutcomeId]] = set()
         ops: list[Operation] = []
         for op in diagram.operations:
-            tr = tuple(x for x in op if diagram.outcome_index[x] in part)
+            tr = tuple(x for x in op if part >> idx[x] & 1)
             key = frozenset(tr)
             if key not in seen:
                 seen.add(key)

@@ -79,9 +79,10 @@ def build_diagram(
 ) -> GreechieDiagram:
     """Validate raw outcome/operation listings and freeze them.
 
-    Rejects duplicate outcomes, unknown or duplicate members, duplicate
-    edges (same member set regardless of order), empty edges, and
-    outcomes not covered by any edge.
+    Rejects duplicate outcomes, unknown or duplicate members (a member
+    that is not a string is unknown), duplicate edges (same member set
+    regardless of order), empty edges, and outcomes not covered by any
+    edge.
     """
     outcomes = tuple(outcome_list)
     seen: set[OutcomeId] = set()
@@ -100,7 +101,7 @@ def build_diagram(
             raise EmptyEdge(j)
         members: set[OutcomeId] = set()
         for x in op:
-            if x not in seen:
+            if not isinstance(x, str) or x not in seen:
                 raise UnknownMember(x, j)
             if x in members:
                 raise DuplicateOutcome(x, where=f"operation #{j}")

@@ -273,6 +273,16 @@ class TestEstimate:
         assert code == 2
         assert named in err
 
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    @pytest.mark.parametrize("member", [["b"], {"b": 1}], ids=["list", "dict"])
+    def test_non_string_member_is_a_bad_diagram(self, capsys, tmp_path, command, member):
+        path = tmp_path / "member.json"
+        doc = {"outcomes": ["a", "b"], "operations": [["a", member]], "counts": {"a": 1, "b": 1}}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert err.startswith("error: bad diagram: operation #0 names undeclared outcome")
+
     def test_self_check_pass(self, capsys):
         code, _, _ = run(capsys, "estimate", FIXTURES / "tennis.json", "--self-check")
         assert code == 0

@@ -103,6 +103,36 @@ def parity_diagram():
     )
 
 
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        for k in range(len(p)):
+            yield p[:k] + [[first, *p[k]]] + p[k + 1 :]
+        yield [[first], *p]
+
+
+def product_partitions(d):
+    """Every partition of the outcomes, of two blocks or more, that every
+    operation meets in each block and whose trace combinations are
+    exactly the operations, as frozensets of outcome frozensets."""
+    ops = d.edge_sets
+    found = set()
+    for blocks in set_partitions(list(d.outcomes)):
+        traces = [{op & frozenset(b) for op in ops} for b in blocks]
+        if len(blocks) < 2 or any(frozenset() in t for t in traces):
+            continue
+        if np.prod([len(t) for t in traces]) == len(ops):
+            found.add(frozenset(frozenset(b) for b in blocks))
+    return found
+
+
+def factor_sets(factors):
+    return None if factors is None else {frozenset(f.outcomes) for f in factors}
+
+
 class TestComponents:
     def test_connected_diagram_is_single(self):
         comps = connected_components(shapes.path3())
@@ -201,13 +231,66 @@ class TestFactorProduct:
         ]
 
     def test_parity_diagram_is_prime(self):
-        # Initial parts {a,b}, {x,y}, {u,v}: all pairwise trace
-        # combinations are realized, only the triple check fails, so the
-        # merge has to escalate past pairs before giving up.
+        # Parts {a,b}, {x,y}, {u,v}: every two of them combine freely, so
+        # {a,b} and {x,y} stay apart, but once {u,v} is added each of them
+        # fails the two-way test against the rest, and all three merge.
         assert factor_product(parity_diagram()) is None
 
     def test_empty_trace_forces_merges(self):
+        # Every outcome is a part.  Over {a,b} the traces {a,b}, {a} and
+        # {b} miss the combination of two empty traces, so {a} and {b}
+        # merge; {c} then fails against {a,b} the same way.
         d = build_diagram(["a", "b", "c"], [["a", "b"], ["a", "c"], ["b", "c"]])
+        assert factor_product(d) is None
+
+    def test_products_found_and_finest(self):
+        # Against every set partition: a product is found exactly when one
+        # exists, and none of them refines the one found.
+        rng = random.Random(21)
+        draws = [d for d in (random_diagram(rng) for _ in range(400)) if len(d.outcomes) <= 7]
+        found = 0
+        for d in draws:
+            products = product_partitions(d)
+            factors = factor_product(d)
+            assert (factors is None) == (not products), d
+            if factors is not None:
+                got = frozenset(frozenset(f.outcomes) for f in factors)
+                assert got in products, d
+                assert not any(
+                    p != got and all(any(b <= c for c in got) for b in p) for p in products
+                ), d
+                found += 1
+        assert found >= 20
+
+    def test_same_factors_in_any_order(self):
+        rng, shuffle = random.Random(21), random.Random(5)
+        for _ in range(400):
+            d = random_diagram(rng)
+            outcomes, ops = list(d.outcomes), [list(op) for op in d.operations]
+            shuffle.shuffle(outcomes)
+            shuffle.shuffle(ops)
+            for op in ops:
+                shuffle.shuffle(op)
+            assert factor_sets(factor_product(build_diagram(outcomes, ops))) == factor_sets(
+                factor_product(d)
+            ), d
+
+    @pytest.mark.parametrize(
+        "outcomes", [["b", "c1", "c2", "d1", "d2"], ["d1", "d2", "c1", "c2", "b"]]
+    )
+    def test_empty_trace_joins_the_least_name(self, outcomes):
+        # {b,c1,c2}|{d1,d2} and {c1,c2}|{b,d1,d2} are both finest; b, which
+        # half the operations miss, joins the factor holding c1 < d1.
+        ops = [[*b, c, d] for b in ([], ["b"]) for c in ("c1", "c2") for d in ("d1", "d2")]
+        if outcomes[0] != "b":
+            ops = [op[::-1] for op in reversed(ops)]
+        factors = factor_product(build_diagram(outcomes, ops))
+        assert factor_sets(factors) == {frozenset({"b", "c1", "c2"}), frozenset({"d1", "d2"})}
+        assert factors[0].outcomes[0] == outcomes[0]
+
+    def test_complete_graph_of_pairs_is_prime(self):
+        xs = [f"x{i}" for i in range(80)]
+        d = build_diagram(xs, [list(pair) for pair in itertools.combinations(xs, 2)])
         assert factor_product(d) is None
 
     def test_cycles_are_prime(self):

@@ -141,6 +141,12 @@ class TestBuildDiagram:
         with pytest.raises(UnknownMember):
             build_diagram(["a", "b"], [["a", "b"], ["a", "z"]])
 
+    @pytest.mark.parametrize("member", [["b"], {"b": 1}], ids=["list", "dict"])
+    def test_non_string_member_is_unknown(self, member):
+        with pytest.raises(UnknownMember) as info:
+            build_diagram(["a", "b"], [["a", "b"], ["a", member]])
+        assert info.value.member == member and info.value.index == 1
+
     def test_uncovered_outcome(self):
         with pytest.raises(UncoveredOutcome):
             build_diagram(["a", "b", "c"], [["a", "b"]])

@@ -9,8 +9,9 @@ stale name behind, and every public attribute other than a submodule
 must be listed there, so an added export is not left out.  And numpy
 stays the only runtime dependency, every leaf error type is raised
 somewhere in the package, every BENCH_<n>.json file of paired
-benchmark runs covers the whole benchmark, and every option the
-README's command-line section names exists."""
+benchmark runs covers the whole benchmark, every option the README's
+command-line section names exists, and the same-answers harness runs
+every corpus in both trees."""
 
 import argparse
 import ast
@@ -142,3 +143,28 @@ def test_readme_options_exist():
     for sub in commands.choices.values():
         options |= set(sub._option_string_actions)
     assert named and sorted(named - options) == []
+
+
+def test_same_answers_runs_every_corpus(capsys):
+    # One record per corpus, the git-archived HEAD against the working
+    # tree, keep this under a second.
+    harness = runpy.run_path(str(ROOT / "tools" / "same_answers.py"))
+    assert harness["main"](["--limit", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)["corpora"]
+    assert list(report) == list(harness["CORPORA"])
+    for entry in report.values():
+        assert entry["records"] == 1 and 0 <= entry["identical"] <= 1
+        assert [sum(c.values()) for c in entry["census"].values()] == [1, 1]
+
+
+def test_same_answers_reports_differences():
+    compare = runpy.run_path(str(ROOT / "tools" / "same_answers.py"))["compare"]
+    solved = {"corpus": "shapes", "id": "0", "p": {"a": "1/4", "b": "0.75"}, "method": "numeric"}
+    moved = {**solved, "p": {"a": "0.25", "b": "3/4"}}
+    failed = {"corpus": "shapes", "id": "1", "error": "NonConvergence", "message": "m",
+              "node_path": "root"}
+    report, differing = compare([solved, failed], [moved, failed], ["shapes"])
+    entry = report["shapes"]
+    assert (entry["records"], entry["identical"], entry["max_abs_dp"]) == (2, 1, 0.0)
+    assert entry["census"]["change"] == {"NonConvergence": 1, "numeric": 1}
+    assert entry["differing"] == ["0"] and differing == [{"parent": solved, "change": moved}]
