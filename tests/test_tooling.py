@@ -10,8 +10,8 @@ must be listed there, so an added export is not left out.  And numpy
 stays the only runtime dependency, every leaf error type is raised
 somewhere in the package, every BENCH_<n>.json file of paired
 benchmark runs covers the whole benchmark, every option the README's
-command-line section names exists, and the same-answers harness runs
-every corpus in both trees."""
+command-line section names exists, and the same-answers harness's
+worker runs every corpus and refuses a package from another tree."""
 
 import argparse
 import ast
@@ -19,8 +19,11 @@ import importlib
 import json
 import re
 import runpy
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import greechie_mle
 from greechie_mle.cli import build_parser
@@ -145,16 +148,27 @@ def test_readme_options_exist():
     assert named and sorted(named - options) == []
 
 
-def test_same_answers_runs_every_corpus(capsys):
-    # One record per corpus, the git-archived HEAD against the working
-    # tree, keep this under a second.
+def test_same_answers_runs_every_corpus(capsys, monkeypatch):
+    # One record per corpus from this tree's worker, compared with itself;
+    # the git-archived parent is left to the manual run.
     harness = runpy.run_path(str(ROOT / "tools" / "same_answers.py"))
-    assert harness["main"](["--limit", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)["corpora"]
-    assert list(report) == list(harness["CORPORA"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    harness["worker"](ROOT / "src", 1)
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["corpus"] for r in records] == list(harness["CORPORA"])
+    report = harness["compare"](records, records)
     for entry in report.values():
-        assert entry["records"] == 1 and 0 <= entry["identical"] <= 1
+        assert (entry["records"], entry["identical"], entry["differing"]) == (1, 1, [])
         assert [sum(c.values()) for c in entry["census"].values()] == [1, 1]
+
+
+def test_same_answers_worker_rejects_another_copy(monkeypatch, tmp_path):
+    # A worker whose package does not come from the tree it was given
+    # would compare one tree with itself.
+    worker = runpy.run_path(str(ROOT / "tools" / "same_answers.py"))["worker"]
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit, match="greechie_mle imported from"):
+        worker(tmp_path, 1)
 
 
 def test_same_answers_reports_differences():
@@ -163,8 +177,7 @@ def test_same_answers_reports_differences():
     moved = {**solved, "p": {"a": "0.25", "b": "3/4"}}
     failed = {"corpus": "shapes", "id": "1", "error": "NonConvergence", "message": "m",
               "node_path": "root"}
-    report, differing = compare([solved, failed], [moved, failed], ["shapes"])
-    entry = report["shapes"]
+    entry = compare([solved, failed], [moved, failed])["shapes"]
     assert (entry["records"], entry["identical"], entry["max_abs_dp"]) == (2, 1, 0.0)
     assert entry["census"]["change"] == {"NonConvergence": 1, "numeric": 1}
-    assert entry["differing"] == ["0"] and differing == [{"parent": solved, "change": moved}]
+    assert entry["differing"] == ["0"]

@@ -1,21 +1,22 @@
 """Same answers: run named corpora in a parent revision and in the working tree.
 
-    python3 tools/same_answers.py [--parent REV] [--corpus NAME ...] [--limit N] [--out FILE]
+    python3 tools/same_answers.py [--parent REV] [--limit N]
 
 The change is the working tree of the checkout holding this file; the
 parent revision (default HEAD) is extracted from it with ``git archive``
 into a temporary directory.  This script then runs itself once per tree
 as a worker, importing ``greechie_mle`` from that tree's ``src/`` and the
 seeded corpus generators from the working tree, so both trees see the
-same inputs.  Each record is one ``estimate`` call, kept as p (exact
-fractions as "n/d", floats by repr), method and plan tree, or as the
-error's type, message and ``node_path``; or one in-process CLI call,
-kept as exit code, stdout and stderr.  Standard output receives one JSON
+same inputs.  A worker that imports the package from anywhere else exits
+non-zero, so an installed copy cannot stand in for either tree.  Each
+record is one ``estimate`` call, kept as p (exact fractions as "n/d",
+floats by repr), method and plan tree, or as the error's type, message
+and ``node_path``; or one in-process CLI call, kept as exit code, stdout
+and stderr.  Standard output receives one JSON
 report: per corpus, the number of records, how many are identical, the
 largest |p difference| between records that both solved, the census of
 routes, errors and exit codes on each side, and the first differing
-record ids.  ``--out`` writes every differing record, both sides, as one
-JSON line each.  ``--limit`` keeps the first N records of each corpus.
+record ids.  ``--limit`` keeps the first N records of each corpus.
 
 Corpora: ``shapes`` (8 reference shapes, 150 ``randint(1, 1000)`` and
 150 ``int(10**U(0,9))`` draws each, through ``auto`` and ``numeric``),
@@ -79,7 +80,8 @@ def cli_record(main, argv: list[str]) -> dict:
 
 
 def corpus(name: str, api, conftest):
-    """(record id, thunk) pairs of one corpus, in a fixed order."""
+    """(record id, job) pairs of one corpus, in a fixed order: a job is
+    (diagram, counts, method) for ``estimate`` or an argv for the CLI."""
     both = ("auto", "numeric")
     if name == "shapes":
         for shape, d in api.shapes.all_shapes().items():
@@ -118,7 +120,7 @@ def corpus(name: str, api, conftest):
             for i in range(3):
                 counts = {x: int(10 ** rng.uniform(0, 9)) for x in d.outcomes}
                 yield f"{k}/{i}", (d, counts, "auto")
-    elif name == "cli":
+    else:  # cli
         estimates = [[], ["--self-check"], ["--method", "closed"], ["--method", "numeric"]]
         for path in sorted((ROOT / "fixtures").glob("*.json")):
             calls = [["validate"], ["classify"]] + [["estimate", *opts] for opts in estimates]
@@ -126,17 +128,17 @@ def corpus(name: str, api, conftest):
                 for fmt in ("text", "json"):
                     argv = [call[0], str(path), *call[1:], "--format", fmt]
                     yield f"{path.name}/{' '.join(argv[2:])}", argv
-    else:
-        raise ValueError(f"unknown corpus {name!r}")
 
 
-def worker(src: Path, names: list[str], limit) -> None:
+def worker(src: Path, limit) -> None:
     sys.path[:0] = [str(src), str(ROOT)]
     import greechie_mle as api
     from greechie_mle.cli import main
     from tests import conftest
 
-    for name in names:
+    if not Path(api.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"greechie_mle imported from {api.__file__}, not from {src}")
+    for name in CORPORA:
         for rid, job in islice(corpus(name, api, conftest), limit):
             rec = cli_record(main, job) if name == "cli" else estimate_record(api, *job)
             print(json.dumps({"corpus": name, "id": rid, **rec}, sort_keys=True))
@@ -157,9 +159,9 @@ def p_difference(a: dict, b: dict) -> float:
     return max(abs(float(Fraction(a["p"][x])) - float(Fraction(b["p"][x]))) for x in a["p"])
 
 
-def compare(parent: list[dict], change: list[dict], names: list[str]):
-    report, differing = {}, []
-    for name in names:
+def compare(parent: list[dict], change: list[dict]) -> dict:
+    report = {}
+    for name in CORPORA:
         census = {"parent": collections.Counter(), "change": collections.Counter()}
         report[name] = {"records": 0, "identical": 0, "max_abs_dp": 0.0, "census": census,
                         "differing": []}
@@ -172,25 +174,21 @@ def compare(parent: list[dict], change: list[dict], names: list[str]):
         entry["max_abs_dp"] = max(entry["max_abs_dp"], p_difference(a, b))
         if a == b:
             entry["identical"] += 1
-        else:
-            differing.append({"parent": a, "change": b})
-            if len(entry["differing"]) < SHOWN:
-                entry["differing"].append(a["id"])
+        elif len(entry["differing"]) < SHOWN:
+            entry["differing"].append(a["id"])
     for entry in report.values():
         entry["census"] = {side: dict(sorted(c.items())) for side, c in entry["census"].items()}
-    return report, differing
+    return report
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--corpus", nargs="+", choices=CORPORA, default=list(CORPORA))
     parser.add_argument("--limit", type=int, default=None)
-    parser.add_argument("--out", type=Path)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.corpus, args.limit)
+        worker(args.worker, args.limit)
         return 0
 
     parent_commit = git("rev-parse", args.parent)
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
             ["git", "archive", parent_commit, "src"], cwd=ROOT, check=True, capture_output=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        command = [sys.executable, __file__, "--corpus", *args.corpus]
+        command = [sys.executable, __file__]
         if args.limit is not None:
             command += ["--limit", str(args.limit)]
         procs = [
@@ -214,10 +212,8 @@ def main(argv=None) -> int:
         print("a worker failed", file=sys.stderr)
         return 1
     parent, change = ([json.loads(line) for line in out.splitlines()] for out in outputs)
-    report, differing = compare(parent, change, args.corpus)
-    if args.out:
-        args.out.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in differing))
-    doc = {"parent_commit": parent_commit, "change_commit": change_commit, "corpora": report}
+    doc = {"parent_commit": parent_commit, "change_commit": change_commit,
+           "corpora": compare(parent, change)}
     print(json.dumps(doc, indent=1))
     return 0
 
